@@ -3,9 +3,8 @@
 ``golden/catalog_cli.jsonl`` holds the full stdout of every catalog CLI
 command: a line ``{"argv": [...], "exit": N, "lines": K}`` followed by the
 command's K output lines verbatim.  ``golden/digests.json`` holds the exit
-code and sha256 of every other operation: the limit sweep, the deep-iterate
-library calls, and ``certify --poly`` on every polynomial of the
-random_certify pool.  ``golden/random_pool.txt`` is that pool ranked by
+code and sha256 of every other operation: the deep-iterate library calls
+and ``certify --poly`` on every polynomial of the random_certify pool.  ``golden/random_pool.txt`` is that pool ranked by
 certification time; it defines random_certify's inputs, not expected output.
 
     python3 perfbench/golden.py check   # re-run the catalog CLI commands and
@@ -67,8 +66,7 @@ def write() -> None:
             fh.write(json.dumps({"argv": argv, "exit": code, "lines": len(lines)}) + "\n")
             fh.writelines(l + "\n" for l in lines)
     stored = {}
-    for name in ("limit_sweep", "deep_iterate"):
-        stored[name] = _digests(workloads.build(name, 0).ops)
+    stored["deep_iterate"] = _digests(workloads.build("deep_iterate", 0).ops)
     pool = [workloads.cli_op(["certify", "--poly", p]) for p in workloads.pool_polys()]
     cold = workloads.cli_op(["certify", "--poly", workloads.RANDOM_COLD_POLY])
     stored["random_certify"] = _digests(pool + [cold])

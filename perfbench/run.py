@@ -1,13 +1,12 @@
 """Benchmark pisotlab end to end (tracing off) or per layer (tracing on).
 
-    python3 perfbench/run.py --workload catalog_cli --seed 1 --seconds 20 --trace 0
-    python3 perfbench/run.py --all --seed 1 --seconds 20
+    python3 perfbench/run.py --workload catalog_cli --seed 1 --seconds 28 --trace 0
+    python3 perfbench/run.py --all --seed 1 --seconds 28
 
 One client runs the workload's operations in a closed loop, one at a time,
-until ``--seconds`` have passed and at least one full pass is done (a traced
-run always stops at the end of a pass).  Every output is checked against
-the golden digests; random_certify verdicts are also checked against an
-independent root oracle after the timed loop.  The last stdout line is one
+for a fixed number of whole passes, scaled by ``--seconds``.  Every output is checked against the golden
+digests; random_certify verdicts are also checked against an independent
+root oracle after the timed loop.  The last stdout line is one
 JSON object: ``correct``, ``attempted``, ``failed`` and ``metrics``.  The
 full record, with the run environment, goes to ``perfbench/out/``.
 See perfbench/README.md for the metrics and the layer map.
@@ -28,7 +27,7 @@ from time import perf_counter
 
 import workloads
 
-PROBES = 7
+PROBES = 3
 OUT_DIR = workloads.ROOT / "perfbench" / "out"
 SOURCE_MODULES = (
     "__init__", "catalog", "certify", "cli", "conjectures", "errors", "field",
@@ -123,64 +122,45 @@ def attempt(op, state: dict, tracer=None, op_id: int = -1):
     return code, data, None
 
 
-def run_loop(w, seconds: float, checker: Checker, tracer=None, between=None):
-    """Closed loop over the workload's pass until ``seconds`` of operation
-    time and one full pass are done; a traced loop stops at a pass end.
-    ``between(measured)`` runs before each operation, outside the timing.
-    Returns per-op latency lists and the number of complete passes."""
-    samples = [[] for _ in w.ops]
+def pass_count(w, seconds: float) -> int:
+    """Whole passes in a run of ``seconds``, at least one.  The count never
+    depends on the host's speed, so every run of a workload takes the same
+    samples, before and after a change, and the tail is always the same
+    rank."""
+    return max(1, round(w.passes * seconds / workloads.REF_SECONDS))
+
+
+def run_loop(w, passes: int, checker: Checker, tracer=None, between=None) -> list[float]:
+    """Closed loop: ``passes`` whole passes over the workload's operations.
+    ``between(done)`` runs before each operation, outside the timing, with
+    the number of operations done.  Returns every latency in run order; the
+    index of a latency is its op id."""
+    samples: list[float] = []
     state: dict = {}
-    passes = 0
-    measured = 0.0
-    op_id = 0
-    while True:
-        for i, op in enumerate(w.ops):
+    for _ in range(passes):
+        for op in w.ops:
             if between is not None:
-                between(measured)
+                between(len(samples))
             t0 = perf_counter()
-            code, data, error = attempt(op, state, tracer, op_id)
-            elapsed = perf_counter() - t0
-            samples[i].append(elapsed)
-            measured += elapsed
+            code, data, error = attempt(op, state, tracer, len(samples))
+            samples.append(perf_counter() - t0)
             checker.check(op.name, code, data, error)
-            op_id += 1
-            if tracer is None and passes and measured >= seconds:
-                return samples, passes
-        passes += 1
-        if measured >= seconds:
-            return samples, passes
+    return samples
 
 
-def latency_metrics(samples) -> dict:
-    """Throughput and latency over the run, each op of the pass weighing the
-    same however many times it ran, so the figures do not depend on where
-    the time limit cut the last pass.
-
-    ``ops_per_s`` is ops per pass over the sum of per-op mean latencies.
-    ``op_p50_ms`` and ``op_tail_ms`` are quantiles of all samples, each op's
-    samples sharing one unit of weight; the tail is the highest percentile
-    with ten ops' worth of samples beyond it, fixed by the pass size."""
-    n = len(samples)
+def latency_metrics(samples: list[float]) -> dict:
+    """Throughput over the run, and the median and tail of every sample.
+    The tail is the highest percentile with at least ten samples beyond it."""
+    ranked = sorted(samples)
+    n = len(ranked)
+    k = max(n - 11, 0)
     return {
-        "ops_per_s": n / sum(statistics.fmean(s) for s in samples),
-        "op_p50_ms": weighted_quantile(samples, 0.5) * 1e3,
-        "op_tail_ms": weighted_quantile(samples, (n - 10) / n) * 1e3,
-        "tail_percentile": 100.0 * (n - 10) / n,
-        "tail_samples": sum(len(s) for s in samples),
+        "ops_per_s": n / sum(ranked),
+        "op_p50_ms": statistics.median(ranked) * 1e3,
+        "op_tail_ms": ranked[k] * 1e3,
+        "tail_percentile": 100.0 * (k + 1) / n,
+        "tail_samples": n,
     }
-
-
-def weighted_quantile(samples, q: float) -> float:
-    """Smallest sample with a share q of the weight at or below it, where
-    each op's samples share one unit of weight."""
-    pairs = sorted((x, 1.0 / len(s)) for s in samples for x in s)
-    target = q * len(samples) - 1e-9
-    acc = 0.0
-    for x, weight in pairs:
-        acc += weight
-        if acc >= target:
-            return x
-    return pairs[-1][0]
 
 
 def source_lines() -> dict[str, int]:
@@ -251,11 +231,13 @@ def run(workload: str, seed: int, seconds: float, traced: bool) -> dict:
         for name in tracer.unwrapped():
             checker.failures.append("unwrapped reference %s" % name)
 
+    passes = pass_count(w, seconds)
+    total = passes * len(w.ops)
     probes: list[dict] = []
 
-    def probe_when_due(measured: float) -> None:
+    def probe_when_due(done: int) -> None:
         # fresh-interpreter probes spread evenly over the run
-        while len(probes) < PROBES and measured >= len(probes) * seconds / PROBES:
+        while len(probes) < PROBES and done >= len(probes) * total / PROBES:
             p = probe(workload, seed)
             probes.append(p)
             if "error" in p:
@@ -263,9 +245,9 @@ def run(workload: str, seed: int, seconds: float, traced: bool) -> dict:
             else:
                 checker.compare(p["op"], p["exit"], p["sha256"])
 
-    samples, passes = run_loop(w, seconds, checker, tracer, None if traced else probe_when_due)
+    samples = run_loop(w, passes, checker, tracer, None if traced else probe_when_due)
     if not traced:
-        probe_when_due(float("inf"))
+        probe_when_due(total)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     if workload == "random_certify":
@@ -288,20 +270,20 @@ def run(workload: str, seed: int, seconds: float, traced: bool) -> dict:
         "tail_samples": lat["tail_samples"],
         "env": environment(),
         "failures": checker.failures[:20],
-        "samples_s": {op.name: lat for op, lat in zip(w.ops, samples)},
+        "samples_s": {op.name: samples[i::len(w.ops)] for i, op in enumerate(w.ops)},
     }
     if traced:
         metrics = tracer.layer_metrics(passes)
         metrics.update(source_lines())
         metrics["trace.ops_per_s"] = lat["ops_per_s"]
-        record["span_balance_s"] = tracer.op_balance()
+        record["span_gap_s"], record["span_nesting_s"] = tracer.op_balance(samples)
         record["spans"] = len(tracer.spans)
         OUT_DIR.mkdir(exist_ok=True)
         tracer.dump(OUT_DIR / ("%s-seed%d.spans.jsonl" % (workload, seed)))
     else:
         metrics = {
             "setup_s": statistics.median(p["setup_s"] for p in probes),
-            "cold_op_s": min(p["cold_op_s"] for p in probes),
+            "cold_op_s": statistics.median(p["cold_op_s"] for p in probes),
             "ops_per_s": lat["ops_per_s"],
             "op_p50_ms": lat["op_p50_ms"],
             "op_tail_ms": lat["op_tail_ms"],
@@ -322,7 +304,7 @@ def main(argv=None) -> int:
     parser.add_argument("--all", action="store_true",
                         help="run every workload untraced and traced, print a table")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--seconds", type=float, default=28)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = parser.parse_args(argv)
     if args.all == (args.workload is not None):
@@ -348,7 +330,7 @@ def main(argv=None) -> int:
         "failed": record["failed"],
         "metrics": {k: {"value": v, "unit": units[k]} for k, v in record["metrics"].items()},
     }))
-    return 0
+    return 1 if record["failed"] else 0
 
 
 def layer_units() -> dict[str, str]:
@@ -374,10 +356,11 @@ def run_all(seed: int, seconds: float) -> int:
                  "--seconds", str(seconds), "--trace", str(trace)],
                 capture_output=True, text=True, cwd=workloads.ROOT,
             )
-            if proc.returncode != 0:
+            try:
+                results.append(json.loads(proc.stdout.splitlines()[-1]))
+            except (IndexError, ValueError):
                 print(proc.stderr, file=sys.stderr)
-                return proc.returncode
-            results.append(json.loads(proc.stdout.splitlines()[-1]))
+                return proc.returncode or 1
         plain, traced = results
         for name, unit in END_TO_END:
             print("%-15s %-12s %14.6g  %s" % (workload, name, plain["metrics"][name]["value"], unit))

@@ -254,24 +254,26 @@ class Tracer:
         out["field.theta_enclosure.refines"] = refines / passes
         return out
 
-    def op_balance(self) -> float:
-        """Largest break of the span structure: |op duration - sum of the
-        self times in its tree|, or a span reaching outside its parent.
-        0 up to rounding for well-formed spans."""
+    def op_balance(self, latencies: list[float]) -> tuple[float, float]:
+        """Two checks of the span structure against the run loop.
+
+        The gap: the largest |latency the loop measured for an op - sum of
+        the self times in the op's span tree|.  The self times sum to the
+        op span by construction, so this checks that the op span covers
+        the op as the loop, on its own clock reading, timed it.  The
+        nesting: the farthest any span reaches outside its parent; 0 for
+        well-formed spans."""
         spans = self.spans
         child_time = _child_time(spans)
         self_by_op = defaultdict(float)
-        dur_by_op = {}
-        worst_nesting = 0.0
+        nesting = 0.0
         for i, (name, start, end, parent, op_id) in enumerate(spans):
             self_by_op[op_id] += end - start - child_time[i]
-            if name == OP_SPAN:
-                dur_by_op[op_id] = end - start
-            else:
+            if name != OP_SPAN:
                 pstart, pend = spans[parent][1], spans[parent][2]
-                worst_nesting = max(worst_nesting, pstart - start, end - pend)
-        worst = max((abs(dur_by_op[k] - self_by_op[k]) for k in dur_by_op), default=0.0)
-        return max(worst, worst_nesting)
+                nesting = max(nesting, pstart - start, end - pend)
+        gap = max(abs(lat - self_by_op[i]) for i, lat in enumerate(latencies))
+        return gap, nesting
 
     def dump(self, path) -> None:
         """Write every span as one JSON array per line."""
