@@ -37,7 +37,7 @@ END_TO_END = (
     ("setup_s", "s"),
     ("cold_op_s", "s"),
     ("ops_per_s", "1/s"),
-    ("op_p50_ms", "ms"),
+    ("op_gmean_ms", "ms"),
     ("op_tail_ms", "ms"),
     ("ok_frac", "ratio"),
     ("rss_peak_mb", "MB"),
@@ -149,13 +149,22 @@ def run_loop(w, passes: int, checker: Checker, tracer=None, between=None) -> lis
 
 
 def latency_metrics(samples: list[float]) -> dict:
-    """Throughput over the run, and the median and tail of every sample.
-    The tail is the highest percentile with at least ten samples beyond it."""
+    """Throughput over the run, and the geometric mean, median and tail of
+    every sample.  The tail is the highest percentile with at least ten
+    samples beyond it.
+
+    The geometric mean is the gated typical latency, not the median: op
+    latencies lie thinly around the median, so the median mostly records
+    the host's speed during the few ops next to it, and it spread about
+    twice as much as ops_per_s between runs of the same code.  The
+    geometric mean weighs every sample alike on a log scale and spread about
+    as much as ops_per_s.  The median stays in the run record."""
     ranked = sorted(samples)
     n = len(ranked)
     k = max(n - 11, 0)
     return {
         "ops_per_s": n / sum(ranked),
+        "op_gmean_ms": statistics.geometric_mean(ranked) * 1e3,
         "op_p50_ms": statistics.median(ranked) * 1e3,
         "op_tail_ms": ranked[k] * 1e3,
         "tail_percentile": 100.0 * (k + 1) / n,
@@ -266,6 +275,7 @@ def run(workload: str, seed: int, seconds: float, traced: bool) -> dict:
         "trace": int(traced),
         "passes": passes,
         "ops_per_pass": len(w.ops),
+        "op_p50_ms": lat["op_p50_ms"],
         "tail_percentile": lat["tail_percentile"],
         "tail_samples": lat["tail_samples"],
         "env": environment(),
@@ -285,7 +295,7 @@ def run(workload: str, seed: int, seconds: float, traced: bool) -> dict:
             "setup_s": statistics.median(p["setup_s"] for p in probes),
             "cold_op_s": statistics.median(p["cold_op_s"] for p in probes),
             "ops_per_s": lat["ops_per_s"],
-            "op_p50_ms": lat["op_p50_ms"],
+            "op_gmean_ms": lat["op_gmean_ms"],
             "op_tail_ms": lat["op_tail_ms"],
             "ok_frac": 1.0 - len(checker.failures) / checker.attempted,
             "rss_peak_mb": rss_mb,
@@ -321,7 +331,7 @@ def main(argv=None) -> int:
     out_file.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     for failure in record["failures"]:
         print("FAIL %s" % failure)
-    print(json.dumps({k: record[k] for k in ("env", "host.ref_loop_s", "passes",
+    print(json.dumps({k: record[k] for k in ("env", "host.ref_loop_s", "passes", "op_p50_ms",
                                              "tail_percentile", "tail_samples")}))
     units = dict(END_TO_END) if not args.trace else layer_units()
     print(json.dumps({
@@ -344,7 +354,8 @@ def layer_units() -> dict[str, str]:
 
 def run_all(seed: int, seconds: float) -> int:
     """Every workload untraced, then traced: one table of every end-to-end
-    metric, the failure fraction and the tracing overhead."""
+    metric, the median op latency, the failure fraction and the tracing
+    overhead."""
     script = workloads.ROOT / "perfbench" / "run.py"
     print("%-15s %-12s %14s  %s" % ("workload", "metric", "value", "unit"))
     status = 0
@@ -357,13 +368,15 @@ def run_all(seed: int, seconds: float) -> int:
                 capture_output=True, text=True, cwd=workloads.ROOT,
             )
             try:
-                results.append(json.loads(proc.stdout.splitlines()[-1]))
+                lines = proc.stdout.splitlines()
+                results.append((json.loads(lines[-2]), json.loads(lines[-1])))
             except (IndexError, ValueError):
                 print(proc.stderr, file=sys.stderr)
                 return proc.returncode or 1
-        plain, traced = results
+        (info, plain), (_, traced) = results
         for name, unit in END_TO_END:
             print("%-15s %-12s %14.6g  %s" % (workload, name, plain["metrics"][name]["value"], unit))
+        print("%-15s %-12s %14.6g  %s" % (workload, "op_p50_ms", info["op_p50_ms"], "ms"))
         fail_frac = plain["failed"] / plain["attempted"]
         print("%-15s %-12s %14.6g  %s" % (workload, "fail_frac", fail_frac, "ratio"))
         overhead = plain["metrics"]["ops_per_s"]["value"] / traced["metrics"]["trace.ops_per_s"]["value"]
