@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog as catalog_mod
@@ -76,15 +75,6 @@ EXIT_NOT_PISOT = 3
 EXIT_ROUNDING = 4
 EXIT_EXPECTATION = 5
 EXIT_RESIDUAL = 6
-
-
-@dataclass
-class Settings:
-    bits: int
-    tol: Fraction
-    exact_limit: int
-    precision_cap: int
-    catalog_path: str | None
 
 
 def _env(name: str, default: str | None = None) -> str | None:
@@ -246,18 +236,6 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_merge_dash_values(list(sys.argv[1:] if argv is None else argv)))
-    try:
-        settings = Settings(
-            bits=args.bits,
-            tol=_parse_tol(args.tol),
-            exact_limit=args.exact_limit,
-            precision_cap=args.precision_cap,
-            catalog_path=args.catalog,
-        )
-    except InvalidParameters as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-
     handler = {
         "certify": cmd_certify,
         "iterate": cmd_iterate,
@@ -266,7 +244,8 @@ def main(argv: list[str] | None = None) -> int:
         "generate": cmd_generate,
     }[args.command]
     try:
-        return handler(args, settings, sys.stdout)
+        args.tol = _parse_tol(args.tol)
+        return handler(args, sys.stdout)
     except (InvalidParameters, CatalogError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
@@ -284,25 +263,25 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
 
 
-def _resolve_poly(args, settings: Settings) -> tuple[str, IntPolynomial]:
+def _resolve_poly(args) -> tuple[str, IntPolynomial]:
     if getattr(args, "poly", None):
         return ("poly:%s" % args.poly, _parse_poly(args.poly))
-    cat = catalog_mod.load_catalog(settings.catalog_path)
+    cat = catalog_mod.load_catalog(args.catalog)
     entry = cat.get(args.name)
     return (entry.name, entry.poly)
 
 
-def _field_for(poly: IntPolynomial, settings: Settings) -> NumberField:
+def _field_for(poly: IntPolynomial, args) -> NumberField:
     return NumberField.from_poly(
-        poly, start_bits=settings.bits, cap_bits=settings.precision_cap
+        poly, start_bits=args.bits, cap_bits=args.precision_cap
     )
 
 
 # ---------------------------------------------------------------------------
 
 
-def cmd_certify(args, settings: Settings, out) -> int:
-    label, poly = _resolve_poly(args, settings)
+def cmd_certify(args, out) -> int:
+    label, poly = _resolve_poly(args)
     writer = ReportWriter(out, "certify", {"target": label, "poly": enc_poly(poly)})
     cert = certify_pisot(poly)
     writer.record("certificate", certificate_payload(cert))
@@ -313,8 +292,8 @@ def cmd_certify(args, settings: Settings, out) -> int:
     return EXIT_OK
 
 
-def cmd_iterate(args, settings: Settings, out) -> int:
-    label, poly = _resolve_poly(args, settings)
+def cmd_iterate(args, out) -> int:
+    label, poly = _resolve_poly(args)
     n_lo, n_hi = _parse_range(args.n, "exponent")
     if n_lo < 1:
         raise InvalidParameters("exponents start at 1")
@@ -324,7 +303,7 @@ def cmd_iterate(args, settings: Settings, out) -> int:
         "iterate",
         {"target": label, "poly": enc_poly(poly), "kmax": k_max, "n": [n_lo, n_hi]},
     )
-    field = _field_for(poly, settings)
+    field = _field_for(poly, args)
     table = build_table(field, k_max, n_lo, n_hi)
     for k in range(k_max + 1):
         cells = [c for c in table.cells_at_level(k) if n_lo <= c.n <= n_hi]
@@ -346,7 +325,7 @@ def cmd_iterate(args, settings: Settings, out) -> int:
     return EXIT_OK
 
 
-def _suite_target(args, settings: Settings):
+def _suite_target(args):
     """Resolve the suite target to (label, poly, expectations, skipped_note)."""
     if args.alpha is not None:
         if args.alpha < 1:
@@ -361,16 +340,16 @@ def _suite_target(args, settings: Settings):
     if args.family is not None:
         spec = _parse_family(args.family)
         return (spec.label(), None, spec)
-    label, poly = _resolve_poly(args, settings)
+    label, poly = _resolve_poly(args)
     expectations = None
     if getattr(args, "name", None):
-        cat = catalog_mod.load_catalog(settings.catalog_path)
+        cat = catalog_mod.load_catalog(args.catalog)
         expectations = cat.get(args.name).expectations
     return (label, poly, expectations)
 
 
-def cmd_suite(args, settings: Settings, out) -> int:
-    label, poly, expject = _suite_target(args, settings)
+def cmd_suite(args, out) -> int:
+    label, poly, expject = _suite_target(args)
     grade = args.expect
 
     if isinstance(expject, LogEquationSpec):
@@ -384,10 +363,10 @@ def cmd_suite(args, settings: Settings, out) -> int:
         gen = generalized_congruence_check(
             expject,
             p_hi=args.pmax,
-            tol=settings.tol,
+            tol=args.tol,
             p_lo=args.plo,
             n_hi=args.nmax,
-            exact_limit=settings.exact_limit,
+            exact_limit=args.exact_limit,
         )
         writer.record(
             "solution",
@@ -412,7 +391,7 @@ def cmd_suite(args, settings: Settings, out) -> int:
     writer = ReportWriter(
         out, "suite", {"target": label, "pmax": args.pmax, "graded": bool(grade)}
     )
-    field = _field_for(poly, settings)
+    field = _field_for(poly, args)
     suite = run_suite(
         field,
         expectations if grade else None,
@@ -420,7 +399,7 @@ def cmd_suite(args, settings: Settings, out) -> int:
         p_hi=args.pmax,
         k_max=args.kmax,
         n_hi=args.nmax,
-        exact_limit=settings.exact_limit,
+        exact_limit=args.exact_limit,
         include_convergence=args.convergence,
     )
     _emit_suite(writer, suite, graded=bool(grade))
@@ -469,11 +448,11 @@ def _emit_suite(writer: ReportWriter, suite, *, graded: bool) -> None:
             writer.record("expectation", o)
 
 
-def cmd_limits(args, settings: Settings, out) -> int:
+def cmd_limits(args, out) -> int:
     if args.limits_command == "solve":
         spec = LogEquationSpec(args.family, args.m, args.n, args.l)
         writer = ReportWriter(out, "limits solve", {"spec": spec.label()})
-        sol = solve_log_equation(spec, settings.tol)
+        sol = solve_log_equation(spec, args.tol)
         writer.record(
             "solution",
             {
@@ -508,7 +487,7 @@ def cmd_limits(args, settings: Settings, out) -> int:
                 "identity",
                 {"kind": kind, "n": None, "residual": enc_interval(r, args.id_bits)},
             )
-        if worst >= settings.tol:
+        if worst >= args.tol:
             writer.error("residual", "worst identity residual %s above tol" % worst)
             writer.close("residual_failure")
             return EXIT_RESIDUAL
@@ -542,7 +521,7 @@ def cmd_limits(args, settings: Settings, out) -> int:
     return EXIT_OK
 
 
-def cmd_generate(args, settings: Settings, out) -> int:
+def cmd_generate(args, out) -> int:
     m = args.target
     if m < 2:
         raise InvalidParameters("--target must be >= 2")
@@ -552,7 +531,7 @@ def cmd_generate(args, settings: Settings, out) -> int:
         out, "generate", {"target": m, "pmax": p_hi, "count": args.count}
     )
     gen = generalized_congruence_check(
-        spec, p_hi=p_hi, tol=settings.tol, exact_limit=settings.exact_limit
+        spec, p_hi=p_hi, tol=args.tol, exact_limit=args.exact_limit
     )
     level0 = gen.suite.level_report(0)
     field_n_hi = gen.suite.n_hi

@@ -41,7 +41,13 @@ from .recurrence import (
     detect_recurrence,
     modular_extend,
 )
-from .transform import IterateTable, build_table, frac_magnitudes, iterate_once
+from .transform import (
+    COMPARATOR_CAP_BITS,
+    IterateTable,
+    build_table,
+    frac_magnitudes,
+    iterate_column,
+)
 
 __all__ = [
     "BranchVerdict",
@@ -67,6 +73,7 @@ __all__ = [
 EXACT_LIMIT_DEFAULT = 300
 MIN_BRANCH_RUN = 5
 MIN_CONSTANT_RUN = 5
+SUITE_N_LO = 1  # suites tabulate exponents from 1
 
 METHOD_EXACT = "exact"
 METHOD_RECURRENCE = "recurrence_extended"
@@ -118,9 +125,7 @@ class CongruenceReport:
         return any(m == METHOD_RECURRENCE for m in self.method.values())
 
 
-def _classify_branch(
-    primes: Sequence[int], centered: Mapping[int, int], min_run: int
-) -> BranchVerdict:
+def _classify_branch(primes: Sequence[int], centered: Mapping[int, int]) -> BranchVerdict:
     if not primes:
         return BranchVerdict("mixed")
     # Longest suffix of the prime list sharing one centered value.
@@ -129,7 +134,7 @@ def _classify_branch(
     while start > 0 and centered[primes[start - 1]] == tail_value:
         start -= 1
     run = len(primes) - start
-    if run < min_run:
+    if run < MIN_BRANCH_RUN:
         return BranchVerdict("mixed")
     if tail_value == 0:
         kind = "zero"
@@ -142,15 +147,6 @@ def _classify_branch(
     return BranchVerdict(kind, tail_value, primes[start])
 
 
-def _exact_column(field: NumberField, level: int, n: int) -> int:
-    """``u^level_n`` computed directly (one column, no table)."""
-    x = field.theta_power(n)
-    u = 0
-    for _ in range(level + 1):
-        x, u = iterate_once(field, n, x)
-    return u
-
-
 def congruence_scan(
     field: NumberField,
     level: int,
@@ -161,8 +157,6 @@ def congruence_scan(
     table: IterateTable | None = None,
     recurrence: Recurrence | None = None,
     recurrence_n_start: int = 1,
-    initial_terms: Sequence[int] | None = None,
-    min_run: int = MIN_BRANCH_RUN,
 ) -> CongruenceReport:
     """Scan ``u^level_p mod p`` over primes ``p_lo <= p <= p_hi``.
 
@@ -196,17 +190,10 @@ def congruence_scan(
                 % (exact_limit, level)
             )
         onset_n = recurrence_n_start + recurrence.onset
-        if initial_terms is not None:
-            if len(initial_terms) < recurrence.order:
-                raise InvalidParameters(
-                    "need at least %d initial terms" % recurrence.order
-                )
-            init = [int(v) for v in initial_terms[: recurrence.order]]
-        else:
-            init = [
-                _table_or_column(field, table, level, onset_n + i)
-                for i in range(recurrence.order)
-            ]
+        init = [
+            _table_or_column(field, table, level, onset_n + i)
+            for i in range(recurrence.order)
+        ]
 
     for p in primes:
         if p <= exact_limit:
@@ -225,7 +212,7 @@ def congruence_scan(
         residues[p] = u % p
         centered[p] = centered_residue(u, p)
 
-    branch = _classify_branch(primes, centered, min_run)
+    branch = _classify_branch(primes, centered)
     return CongruenceReport(
         level, p_lo, p_hi, primes, residues, centered, method, branch
     )
@@ -236,7 +223,8 @@ def _table_or_column(
 ) -> int:
     if table is not None and table.has(level, n):
         return table.u(level, n)
-    return _exact_column(field, level, n)
+    *_, top = iterate_column(field, n, level)
+    return top.integer_part
 
 
 # ---------------------------------------------------------------------------
@@ -335,18 +323,8 @@ class ConvergenceReport:
     violations: tuple[MagnitudeViolation, ...]
     zero_tail_from: int | None
 
-    @property
-    def erratic_window(self) -> tuple[int, int] | None:
-        """Index range of pre-onset violations, if any."""
-        bad = [v.n for v in self.violations if self.onset is None or v.n < self.onset]
-        if not bad:
-            return None
-        return (min(bad), max(bad))
 
-
-def convergence_check(
-    table: IterateTable, level: int, *, comparator_cap_bits: int = 1 << 16
-) -> ConvergenceReport:
+def convergence_check(table: IterateTable, level: int) -> ConvergenceReport:
     """Find the onset past which ``|frac(I^level(theta^n))|`` strictly decreases.
 
     Adjacent magnitudes are compared through certified interval refinement.
@@ -365,11 +343,11 @@ def convergence_check(
     Raises :class:`IncomparableMagnitudes` when a pair cannot be separated
     within the precision cap.
     """
-    row = frac_magnitudes(table, level, comparator_cap_bits=comparator_cap_bits)
+    row = frac_magnitudes(table, level)
     stuck = row.incomparable_pairs()
     if stuck:
         raise IncomparableMagnitudes(
-            "magnitude pairs %s undecided at %d bits" % (stuck, comparator_cap_bits)
+            "magnitude pairs %s undecided at %d bits" % (stuck, COMPARATOR_CAP_BITS)
         )
     entries = row.entries
     if not entries:
@@ -453,6 +431,34 @@ class ExpectationOutcome:
     observed: str
 
 
+def _pattern_expectations(
+    name: str,
+    n: int,
+    residues: tuple[int, int, int],
+    top: tuple[str, ...],
+    max_onset_prime: int | None,
+) -> ExpectationSet:
+    """Congruence levels 0..n-1 and a tail at level ``n``.
+
+    ``residues`` is (first, middle, last): level 0 expects ``first``,
+    levels 1..n-2 ``middle`` and level n-1 ``last`` (``first`` wins when
+    n = 1).  Level ``n`` expects a tail whose kind is in ``top``.
+    """
+    if n < 1:
+        raise InvalidParameters("n must be >= 1")
+    first, middle, last = residues
+    levels = [
+        LevelExpectation(
+            k,
+            congruence=first if k == 0 else last if k == n - 1 else middle,
+            max_onset_prime=max_onset_prime,
+        )
+        for k in range(n)
+    ]
+    levels.append(LevelExpectation(n, constant=top))
+    return ExpectationSet(name, tuple(levels))
+
+
 def alpha_expectations(n: int, *, max_onset_prime: int | None = None) -> ExpectationSet:
     """Residue/tail pattern for the degree-``n+1`` field with top row -2.
 
@@ -461,20 +467,8 @@ def alpha_expectations(n: int, *, max_onset_prime: int | None = None) -> Expecta
     ``max_onset_prime`` bounds the branch onset of every congruence level of
     this one field; the onset grows with ``n``, so it is a per-field bound.
     """
-    if n < 1:
-        raise InvalidParameters("n must be >= 1")
-    levels = [LevelExpectation(0, congruence=2, max_onset_prime=max_onset_prime)]
-    for k in range(1, n - 1):
-        levels.append(
-            LevelExpectation(k, congruence=0, max_onset_prime=max_onset_prime)
-        )
-    if n >= 2:
-        levels.append(
-            LevelExpectation(n - 1, congruence=-1, max_onset_prime=max_onset_prime)
-        )
     top = ("plus_one",) if n % 2 == 0 else ("alt_odd_plus",)
-    levels.append(LevelExpectation(n, constant=top))
-    return ExpectationSet("alpha_%d" % n, tuple(levels))
+    return _pattern_expectations("alpha_%d" % n, n, (2, 0, -1), top, max_onset_prime)
 
 
 def beta_expectations(n: int, *, max_onset_prime: int | None = None) -> ExpectationSet:
@@ -483,15 +477,8 @@ def beta_expectations(n: int, *, max_onset_prime: int | None = None) -> Expectat
     ``max_onset_prime`` bounds the branch onset of every congruence level of
     this one field; the onset grows with ``n``, so it is a per-field bound.
     """
-    if n < 1:
-        raise InvalidParameters("n must be >= 1")
-    levels = [
-        LevelExpectation(k, congruence=1, max_onset_prime=max_onset_prime)
-        for k in range(n)
-    ]
     top = ("plus_one",) if n % 2 == 0 else ("alt_odd_plus",)
-    levels.append(LevelExpectation(n, constant=top))
-    return ExpectationSet("beta_%d" % n, tuple(levels))
+    return _pattern_expectations("beta_%d" % n, n, (1, 1, 1), top, max_onset_prime)
 
 
 def heart_expectations(
@@ -503,19 +490,13 @@ def heart_expectations(
     ``n-2``... point of care: the penultimate *congruence* level is
     ``n-1`` (residue -1) and the top integer-part row sits at level ``n``.
     """
-    if n < 1:
-        raise InvalidParameters("n must be >= 1")
-    levels = [LevelExpectation(0, congruence=m0, max_onset_prime=max_onset_prime)]
-    for k in range(1, n - 1):
-        levels.append(
-            LevelExpectation(k, congruence=0, max_onset_prime=max_onset_prime)
-        )
-    if n >= 2:
-        levels.append(
-            LevelExpectation(n - 1, congruence=-1, max_onset_prime=max_onset_prime)
-        )
-    levels.append(LevelExpectation(n, constant=("plus_one", "alt_odd_plus")))
-    return ExpectationSet("heart_%d_n%d" % (m0, n), tuple(levels))
+    return _pattern_expectations(
+        "heart_%d_n%d" % (m0, n),
+        n,
+        (m0, 0, -1),
+        ("plus_one", "alt_odd_plus"),
+        max_onset_prime,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +556,9 @@ def run_suite(
     p_lo: int = 2,
     p_hi: int = 97,
     k_max: int | None = None,
-    n_lo: int = 1,
     n_hi: int | None = None,
     exact_limit: int = EXACT_LIMIT_DEFAULT,
     include_convergence: bool = False,
-    min_run: int = MIN_BRANCH_RUN,
 ) -> SuiteReport:
     """Run every scanner across levels ``0..k_max`` of one field.
 
@@ -598,9 +577,9 @@ def run_suite(
     exact_top = min(p_hi, exact_limit)
     if n_hi is None:
         n_hi = max(60, exact_top)
-    table = build_table(field, k_max, n_lo, n_hi)
+    table = build_table(field, k_max, SUITE_N_LO, n_hi)
 
-    report = SuiteReport(field.min_poly, n_lo, n_hi, k_max, p_lo, p_hi)
+    report = SuiteReport(field.min_poly, SUITE_N_LO, n_hi, k_max, p_lo, p_hi)
     report.table_failures = dict(table.failures)
 
     for k in range(k_max + 1):
@@ -631,7 +610,6 @@ def run_suite(
                 table=table,
                 recurrence=rec,
                 recurrence_n_start=ns[0] if ns else 1,
-                min_run=min_run,
             )
         except (RecurrenceUnavailable, ExactHalfInteger, PrecisionExhausted) as exc:
             rep.congruence_error = "%s: %s" % (type(exc).__name__, exc)

@@ -105,14 +105,19 @@ class NumberField:
                 f"{min_poly} failed certification: {certificate.failure_reason}",
                 certificate,
             )
+        if start_bits < 0:
+            raise InvalidParameters("start_bits must be >= 0")
         self.min_poly = min_poly
         self.degree = min_poly.degree
         self.certificate = certificate
         self.start_bits = start_bits
         self.cap_bits = cap_bits
         self._theta_iv = certificate.dominant_root
-        self._reduction_rows = self._build_reduction_rows()
         self._power_cache: dict[int, FieldElement] = {}
+        # theta^(d+j) for j = 0..d-2, enough to reduce any product of two elements
+        self._reduction_rows = [
+            self.theta_power(self.degree + j).coords for j in range(self.degree - 1)
+        ]
 
     @classmethod
     def from_poly(
@@ -156,21 +161,6 @@ class NumberField:
         return self.element((0, 1))
 
     # -- ring operations ------------------------------------------------------
-
-    def _build_reduction_rows(self) -> list[tuple[int, ...]]:
-        """Coordinates of theta^(d+j) for j = 0..d-2 (all we ever need for a
-        product of two degree-< d elements)."""
-        d = self.degree
-        if d == 1:
-            return []
-        base = tuple(-self.min_poly.coeff(i) for i in range(d))
-        rows = [base]
-        for _ in range(d - 2):
-            prev = rows[-1]
-            over = prev[-1]
-            shifted = (0,) + prev[:-1]
-            rows.append(tuple(s + over * b for s, b in zip(shifted, base)))
-        return rows
 
     def element_mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         d = self.degree
@@ -262,7 +252,6 @@ class NumberField:
             if v.denominator == 1:
                 return int(v), RatInterval.point(v), 0
             if (2 * v).denominator == 1:
-                lo = (2 * v - 1) / 2
                 raise ExactHalfInteger(
                     f"value {v} is exactly between {math.floor(v)} and {math.ceil(v)}",
                     value=v,

@@ -85,13 +85,6 @@ class RatInterval:
             return -self
         return RatInterval(Fraction(0), max(-self.lo, self.hi))
 
-    def certainly_lt(self, other: "RatInterval") -> bool:
-        """True when every point of self is below every point of other."""
-        return self.hi < other.lo
-
-    def overlaps(self, other: "RatInterval") -> bool:
-        return not (self.hi < other.lo or other.hi < self.lo)
-
     def strictly_inside(self, lo: Rat, hi: Rat) -> bool:
         return lo < self.lo and self.hi < hi
 
@@ -117,12 +110,6 @@ def sqrt_lower(q: Fraction, bits: int = 96) -> Fraction:
     scale = 1 << (2 * bits)
     n = (q.numerator * scale) // q.denominator
     return Fraction(isqrt(n), 1 << bits)
-
-
-def interval_sqrt(iv: RatInterval, bits: int = 96) -> RatInterval:
-    if iv.lo < 0:
-        raise InvalidParameters("sqrt of an interval reaching below 0")
-    return RatInterval(sqrt_lower(iv.lo, bits), sqrt_upper(iv.hi, bits))
 
 
 # -- decimal rendering -------------------------------------------------------

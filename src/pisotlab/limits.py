@@ -60,6 +60,7 @@ __all__ = [
 
 DEFAULT_TOL = Fraction(1, 10**30)
 DEFAULT_SOLVE_BITS = 192
+SOLVE_MAX_BITS = 1 << 14
 
 _FAMILIES = ("club", "heart", "spade")
 
@@ -118,7 +119,6 @@ def solve_log_equation(
     tol: Fraction = DEFAULT_TOL,
     *,
     precision_bits: int = DEFAULT_SOLVE_BITS,
-    max_bits: int = 1 << 14,
 ) -> LimitPointSolution:
     """Solve one log-equation spec to a certified Pisot limit point.
 
@@ -131,6 +131,8 @@ def solve_log_equation(
     """
     if tol <= 0:
         raise InvalidParameters("tolerance must be positive")
+    if precision_bits < 1:
+        raise InvalidParameters("precision must be at least 1 bit")
     raw = spec.polynomial()
     reduced, mult = strip_unit_root(raw)
     lo_end, hi_end = spec.root_window
@@ -163,8 +165,8 @@ def solve_log_equation(
     bits = precision_bits
     while True:
         root = refine_root(reduced, root, bits + 8)
-        expr = _family_log_expr(spec, root, bits)
-        residual = expr.shift(-Fraction(spec.n)).abs_()
+        ratio = _log_ratio(bits, root, _family_log_terms(spec, root))
+        residual = ratio.shift(-Fraction(spec.n)).abs_()
         if residual.hi < tol:
             return LimitPointSolution(spec, reduced, mult, root, cert, residual, bits)
         if residual.lo > tol:
@@ -175,41 +177,45 @@ def solve_log_equation(
                 tolerance=tol,
             )
         bits *= 2
-        if bits > max_bits:
+        if bits > SOLVE_MAX_BITS:
             raise PrecisionExhausted(
-                "residual for %s still straddles tol at %d bits" % (spec.label(), max_bits),
-                bits=max_bits,
+                "residual for %s still straddles tol at %d bits"
+                % (spec.label(), SOLVE_MAX_BITS),
+                bits=SOLVE_MAX_BITS,
             )
 
 
-def _family_log_expr(spec: LogEquationSpec, root: RatInterval, prec: int) -> RatInterval:
-    """Certified enclosure of the original equation's LHS at the root."""
+def _family_log_terms(
+    spec: LogEquationSpec, root: RatInterval
+) -> list[tuple[int, RatInterval]]:
+    """The signed log arguments of the original equation's LHS numerator."""
     m = spec.m
-    args: list[tuple[int, Fraction]] = []  # (sign, offset): sign * ln(offset + sign*x) ... see below
-    # Express each log argument as an affine image of x and check positivity.
     if spec.family == "club":
-        log_terms = [(-1, RatInterval.point(m) - root)]  # -ln(m - x)
-    elif spec.family == "heart":
-        log_terms = [
+        return [(-1, RatInterval.point(m) - root)]  # -ln(m - x)
+    if spec.family == "heart":
+        return [
             (-1, RatInterval.point(m) - root),
             (+1, root.shift(Fraction(spec.l - m))),  # +ln(x - m + l)
         ]
-    else:  # spade
-        log_terms = [(-1, root.shift(Fraction(-m)))]  # -ln(x - m)
-    for _, arg in log_terms:
+    return [(-1, root.shift(Fraction(-m)))]  # spade: -ln(x - m)
+
+
+def _log_ratio(
+    prec: int, x: RatInterval, terms: list[tuple[int, RatInterval]]
+) -> RatInterval:
+    """sum(sign * ln(arg)) / ln(x) as a certified enclosure."""
+    for _, arg in terms:
         if arg.lo <= 0:
             raise PrecisionExhausted(
-                "log argument enclosure %s touches zero; refine the root" % (arg,),
+                "log argument enclosure %s touches zero at %d bits" % (arg, prec),
                 bits=prec,
             )
-    del args
-
     old = mpmath.iv.prec
     mpmath.iv.prec = prec
     try:
-        ln_x = mpmath.iv.log(interval_to_iv(root, prec))
+        ln_x = mpmath.iv.log(interval_to_iv(x, prec))
         total = mpmath.iv.mpf(0)
-        for sign, arg in log_terms:
+        for sign, arg in terms:
             term = mpmath.iv.log(interval_to_iv(arg, prec))
             total = total + term if sign > 0 else total - term
         return iv_to_interval(total / ln_x)
@@ -244,27 +250,29 @@ def verify_identity(kind: str, n: int | None = None, precision_bits: int = 256) 
             raise InvalidParameters("identity %s needs n >= 1" % kind)
     prec = precision_bits
 
-    if kind == "I":
-        x = _unit_window_root(beta_poly(n), prec)
-        return _log_combo(prec, x, [(-1, _two_minus(x))], Fraction(n + 1))
-    if kind == "II":
-        x = _unit_window_root(alpha_poly(n), prec)
-        terms = [(-1, _two_minus(x)), (+1, x.shift(Fraction(-1)))]
-        return _log_combo(prec, x, terms, Fraction(n))
     if kind == "alpha2_pair":
         x = _unit_window_root(alpha_poly(2), prec)
-        r1 = _log_combo(prec, x, [(-1, _two_minus(x))], Fraction(5, 2))
-        r2 = _log_combo(prec, x, [(-1, x.shift(Fraction(-1)))], Fraction(1, 2))
+        r1 = _log_ratio(prec, x, [(-1, _two_minus(x))]).shift(Fraction(-5, 2)).abs_()
+        r2 = _log_ratio(prec, x, [(-1, x.shift(Fraction(-1)))]).shift(Fraction(-1, 2)).abs_()
         return RatInterval(max(r1.lo, r2.lo), max(r1.hi, r2.hi))
-    if kind == "alpha3_extra":
-        x3 = _unit_window_root(alpha_poly(3), prec)
+    if kind == "I":
+        x = _unit_window_root(beta_poly(n), prec)
+        terms = [(-1, _two_minus(x))]
+        claim = Fraction(n + 1)
+    elif kind == "II":
+        x = _unit_window_root(alpha_poly(n), prec)
+        terms = [(-1, _two_minus(x)), (+1, x.shift(Fraction(-1)))]
+        claim = Fraction(n)
+    elif kind == "alpha3_extra":
+        x = _unit_window_root(alpha_poly(3), prec)
         x1 = _unit_window_root(alpha_poly(1), prec)
-        terms = [(-1, _two_minus(x3)), (+1, x3 - x1)]
-        return _log_combo(prec, x3, terms, Fraction(1))
-    # delta_prime
-    x = _unit_window_root(delta2_poly(), prec)
-    terms = [(-1, _two_minus(x)), (+1, x.shift(Fraction(-1)))]
-    return _log_combo(prec, x, terms, Fraction(7, 2))
+        terms = [(-1, _two_minus(x)), (+1, x - x1)]
+        claim = Fraction(1)
+    else:  # delta_prime
+        x = _unit_window_root(delta2_poly(), prec)
+        terms = [(-1, _two_minus(x)), (+1, x.shift(Fraction(-1)))]
+        claim = Fraction(7, 2)
+    return _log_ratio(prec, x, terms).shift(-claim).abs_()
 
 
 def _two_minus(x: RatInterval) -> RatInterval:
@@ -282,34 +290,6 @@ def _unit_window_root(p: IntPolynomial, prec: int) -> RatInterval:
     if sign_at(p, lo) * sign_at(p, hi) >= 0:
         raise NoRootInInterval("no sign change for %s on ]1, 2[" % (p,))
     return refine_root(p, RatInterval(lo, hi), prec + 8)
-
-
-def _log_combo(
-    prec: int,
-    x: RatInterval,
-    terms: list[tuple[int, RatInterval]],
-    claim: Fraction,
-) -> RatInterval:
-    """|sum(sign * ln(arg)) / ln(x) - claim| as a certified enclosure."""
-    for _, arg in terms:
-        if arg.lo <= 0:
-            raise PrecisionExhausted(
-                "log argument enclosure %s touches zero at %d bits" % (arg, prec),
-                bits=prec,
-            )
-    old = mpmath.iv.prec
-    mpmath.iv.prec = prec
-    try:
-        ln_x = mpmath.iv.log(interval_to_iv(x, prec))
-        total = mpmath.iv.mpf(0)
-        for sign, arg in terms:
-            term = mpmath.iv.log(interval_to_iv(arg, prec))
-            total = total + term if sign > 0 else total - term
-        expr = total / ln_x
-        claim_iv = interval_to_iv(RatInterval.point(claim), prec)
-        return iv_to_interval(expr - claim_iv).abs_()
-    finally:
-        mpmath.iv.prec = old
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +326,8 @@ def ordering_check(count: int, precision_bits: int = 128) -> OrderingReport:
     """
     if count < 2:
         raise InvalidParameters("count must be >= 2")
+    if precision_bits < 1:
+        raise InvalidParameters("precision must be at least 1 bit")
     merged = alpha_poly(1) == beta_poly(1)
     if not merged:  # pragma: no cover - algebra guarantees equality
         raise InvalidParameters("expected alpha_1 and beta_1 to share a polynomial")

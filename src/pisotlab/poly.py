@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DegreeMismatch, InvalidParameters, NonExactDivision
@@ -66,12 +65,6 @@ class IntPolynomial:
     @classmethod
     def zero(cls) -> "IntPolynomial":
         return cls(())
-
-    @classmethod
-    def x_power(cls, n: int, scale: int = 1) -> "IntPolynomial":
-        if n < 0:
-            raise InvalidParameters("exponent must be >= 0")
-        return cls.from_coeffs([0] * n + [scale])
 
     @property
     def degree(self) -> int:
@@ -174,26 +167,6 @@ class IntPolynomial:
         if self.is_zero:
             return self
         return IntPolynomial(_strip(reversed(self.coeffs)))
-
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial(
-            _strip(i * c for i, c in enumerate(self.coeffs) if i > 0)
-        )
-
-    def monic_normalized(self) -> "IntPolynomial":
-        """Flip the overall sign if needed so the leading coefficient is +1.
-
-        Only defined when the leading coefficient is +-1.
-        """
-        if self.is_zero or abs(self.leading) != 1:
-            raise InvalidParameters("leading coefficient must be +-1")
-        return self if self.leading == 1 else -self
-
-    def shift_mul_x(self, k: int) -> "IntPolynomial":
-        """Multiply by x**k."""
-        if self.is_zero:
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -311,7 +284,7 @@ def beta_poly(n: int) -> IntPolynomial:
         raise InvalidParameters("beta_poly needs n >= 1")
     num = poly_from_terms([(n + 2, 1), (n + 1, -2), (0, 1)])
     den = IntPolynomial.from_coeffs([-1, 1])
-    return num.exact_div(den).monic_normalized()
+    return num.exact_div(den)
 
 
 def delta2_poly() -> IntPolynomial:
@@ -365,8 +338,3 @@ def strip_unit_root(p: IntPolynomial) -> tuple[IntPolynomial, int]:
         p = p.exact_div(den)
         k += 1
     return p, k
-
-
-def rational_eval(p: IntPolynomial, num: int, den_pow2: int) -> Fraction:
-    """Exact p(num / 2**den_pow2) as a Fraction."""
-    return Fraction(p(Fraction(num, 1 << den_pow2)))

@@ -47,12 +47,6 @@ class Recurrence:
             isinstance(c, int) or c.denominator == 1 for c in self.coeffs
         )
 
-    def predict(self, history: Sequence) -> Fraction | int:
-        """Next term from the last `order` terms (most recent last)."""
-        if len(history) < self.order:
-            raise InvalidParameters("history shorter than the order")
-        return sum(c * history[-k] for k, c in enumerate(self.coeffs, start=1))
-
 
 def _solve_exact(rows: list[list[int]], rhs: list[int], j: int):
     """Gauss-Jordan over Q.  Returns a particular solution (free variables

@@ -132,17 +132,15 @@ def convergence_payload(report) -> dict:
     }
 
 
-def certificate_payload(cert, digits: int = DEFAULT_DIGITS) -> dict:
+def certificate_payload(cert) -> dict:
     out = {
         "verdict": cert.verdict.value,
         "irreducibility_witness": cert.irreducibility_witness,
     }
     if cert.dominant_root is not None:
-        out["dominant_root"] = enc_interval(cert.dominant_root, digits=digits)
+        out["dominant_root"] = enc_interval(cert.dominant_root)
     if cert.conjugate_moduli:
-        out["conjugate_moduli"] = [
-            enc_interval(m, digits=digits) for m in cert.conjugate_moduli
-        ]
+        out["conjugate_moduli"] = [enc_interval(m) for m in cert.conjugate_moduli]
     if cert.conjugate_bound is not None:
         out["conjugate_bound"] = enc_fraction(cert.conjugate_bound)
     if cert.unit_root is not None:

@@ -9,7 +9,7 @@ the rest of the package studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Iterator
 
 from .errors import (
     ExactHalfInteger,
@@ -19,6 +19,9 @@ from .errors import (
 )
 from .field import FieldElement, NumberField
 from .intervals import RatInterval
+
+# theta precision at which an adjacent magnitude pair is left undecided
+COMPARATOR_CAP_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -32,13 +35,27 @@ class IterateCell:
     exact_zero: bool               # fractional part is exactly 0
 
 
-def iterate_once(
-    field: NumberField, n: int, x: FieldElement
-) -> tuple[FieldElement, int]:
-    """One transform step at exponent n: returns (theta^n * (x - [x]), [x])."""
-    u = field.nearest_integer(x)
-    nxt = field.element_mul(field.theta_power(n), x.shift_constant(-u))
-    return nxt, u
+def iterate_column(field: NumberField, n: int, k_max: int) -> Iterator[IterateCell]:
+    """The cells of column n for levels 0..k_max, each certified in turn.
+
+    A rounding failure (ExactHalfInteger, PrecisionExhausted) propagates
+    from the level it hits; the cells yielded before it stay valid.
+    """
+    x = field.theta_power(n)
+    for k in range(k_max + 1):
+        u, enclosure, bits = field.round_with_enclosure(x)
+        diff = x.shift_constant(-u)
+        yield IterateCell(
+            level=k,
+            n=n,
+            element=x,
+            integer_part=u,
+            magnitude=enclosure.shift(-u).abs_(),
+            bits=bits,
+            exact_zero=diff.is_zero,
+        )
+        if k < k_max:
+            x = field.element_mul(field.theta_power(n), diff)
 
 
 class IterateTable:
@@ -101,27 +118,13 @@ def build_table(
         raise InvalidParameters("need k_max >= 0 and 1 <= n_lo <= n_hi")
     table = IterateTable(field, k_max, n_lo, n_hi)
     for n in range(n_lo, n_hi + 1):
-        x = field.theta_power(n)
-        for k in range(k_max + 1):
-            try:
-                u, enclosure, bits = field.round_with_enclosure(x)
-            except (ExactHalfInteger, PrecisionExhausted) as exc:
-                table.failures[(k, n)] = f"{type(exc).__name__}: {exc}"
-                break
-            diff = x.shift_constant(-u)
-            table._store(
-                IterateCell(
-                    level=k,
-                    n=n,
-                    element=x,
-                    integer_part=u,
-                    magnitude=enclosure.shift(-u).abs_(),
-                    bits=bits,
-                    exact_zero=diff.is_zero,
-                )
-            )
-            if k < k_max:
-                x = field.element_mul(field.theta_power(n), diff)
+        k = 0
+        try:
+            for cell in iterate_column(field, n, k_max):
+                table._store(cell)
+                k += 1
+        except (ExactHalfInteger, PrecisionExhausted) as exc:
+            table.failures[(k, n)] = f"{type(exc).__name__}: {exc}"
     return table
 
 
@@ -179,9 +182,7 @@ def _pair_status(a: MagEntry, b: MagEntry) -> str | None:
     return None
 
 
-def frac_magnitudes(
-    table: IterateTable, k: int, *, comparator_cap_bits: int = 1 << 16
-) -> MagnitudeRow:
+def frac_magnitudes(table: IterateTable, k: int) -> MagnitudeRow:
     """Magnitude enclosures for level k, refined until every adjacent pair is
     ordered (or certified equal); pairs still ambiguous at the cap are left
     as None in pair_order rather than raised here."""
@@ -192,7 +193,7 @@ def frac_magnitudes(
     order: list[str | None] = []
     for a, b in zip(entries, entries[1:]):
         status = _pair_status(a, b)
-        while status is None and max(a.bits, b.bits) < comparator_cap_bits:
+        while status is None and max(a.bits, b.bits) < COMPARATOR_CAP_BITS:
             a.refine(table.field)
             b.refine(table.field)
             status = _pair_status(a, b)

@@ -1,10 +1,22 @@
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from pisotlab.cli import main
+
+GOLDEN_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "catalog_cli.jsonl"
+# the golden commands that run in about a second together
+CHEAP_GOLDEN = {
+    ("limits", "identities"),
+    ("limits", "ordering"),
+    ("generate", "--target", "7"),
+    ("suite", "--alpha", "3"),
+    ("suite", "--beta", "3"),
+}
 
 
 def run(capsys, argv):
@@ -67,6 +79,9 @@ def test_certify_unit_root_reported(capsys) -> None:
         ["iterate", "--name", "golden", "--n", "0:4"],
         ["--tol", "junk", "certify", "--name", "golden"],
         ["generate", "--target", "1"],
+        ["--bits", "-2", "iterate", "--name", "golden", "--n", "1:5"],
+        ["limits", "ordering", "--bits", "-9"],
+        ["limits", "ordering", "--count", "8", "--bits", "0"],
     ],
 )
 def test_parse_errors_exit_2(capsys, argv) -> None:
@@ -230,3 +245,36 @@ def test_output_is_byte_deterministic(capsys) -> None:
     second = capsys.readouterr().out
     assert code1 == code2 == 0
     assert first == second
+
+
+def _cheap_golden_commands() -> list[tuple[list[str], int, str]]:
+    """(argv, exit code, stdout) of the cheap commands in the benchmark's
+    golden file: a header line with the record count, then the records."""
+    lines = GOLDEN_CLI.read_text(encoding="utf-8").splitlines()
+    out = []
+    i = 0
+    while i < len(lines):
+        head = json.loads(lines[i])
+        argv, n = head["argv"], head["lines"]
+        if argv[0] == "certify" or tuple(argv) in CHEAP_GOLDEN:
+            stdout = "".join(line + "\n" for line in lines[i + 1 : i + 1 + n])
+            out.append((argv, head["exit"], stdout))
+        i += 1 + n
+    return out
+
+
+CHEAP_COMMANDS = _cheap_golden_commands()
+
+
+def test_cheap_golden_commands_present() -> None:
+    assert len(CHEAP_COMMANDS) == 12
+
+
+@pytest.mark.parametrize(
+    "argv,code,stdout", CHEAP_COMMANDS, ids=[" ".join(c[0]) for c in CHEAP_COMMANDS]
+)
+def test_output_matches_golden(capsys, monkeypatch, argv, code, stdout) -> None:
+    for key in [k for k in os.environ if k.startswith("PISOTLAB_")]:
+        monkeypatch.delenv(key)
+    assert main(list(argv)) == code
+    assert capsys.readouterr().out == stdout

@@ -77,6 +77,17 @@ def test_congruence_scan_recurrence_extension() -> None:
     assert full.centered == rep.centered
 
 
+@pytest.mark.parametrize("field", [PLASTIC, DELTA2], ids=["plastic", "delta2"])
+def test_congruence_scan_column_matches_table(field) -> None:
+    # without a table every residue comes from a directly stepped column
+    table = build_table(field, field.degree - 1, 1, 97)
+    for level in range(field.degree):
+        backed = congruence_scan(field, level, 2, 97, table=table)
+        direct = congruence_scan(field, level, 2, 97)
+        assert direct.residues == backed.residues
+        assert direct.branch == backed.branch
+
+
 def test_congruence_scan_needs_recurrence_beyond_limit() -> None:
     with pytest.raises(RecurrenceUnavailable):
         congruence_scan(GOLDEN, 0, 2, 97, exact_limit=10)

@@ -68,7 +68,8 @@ def test_multiplication_commutes_with_evaluation() -> None:
             iva, ivb = field.eval_interval(a, 80), field.eval_interval(b, 80)
             ivp = field.eval_interval(prod, 80)
             # the true value of a*b lies in both enclosures, so they overlap
-            assert ivp.overlaps(iva * ivb)
+            both = iva * ivb
+            assert ivp.lo <= both.hi and both.lo <= ivp.hi
 
 
 def test_eval_interval_against_mpmath() -> None:
@@ -129,6 +130,13 @@ def test_rounding_random_elements_against_direct_eval() -> None:
             want = int(mpmath.nint(val))
             got = field.nearest_integer(field.element(coords))
             assert got == want
+
+
+def test_negative_start_bits_rejected() -> None:
+    with pytest.raises(InvalidParameters):
+        NumberField.from_poly([-1, -1, 1], start_bits=-1)
+    field = NumberField.from_poly([-1, -1, 1], start_bits=0)
+    assert field.nearest_integer(field.theta_power(10)) == 123
 
 
 def test_degree_one_field() -> None:

@@ -12,7 +12,6 @@ from pisotlab.intervals import (
     decimal_lower,
     decimal_upper,
     fraction_to_mpf,
-    interval_sqrt,
     interval_to_iv,
     iv_to_interval,
     sqrt_lower,
@@ -78,11 +77,6 @@ def test_abs_straddling_zero() -> None:
 
 def test_comparison_predicates() -> None:
     a = RatInterval(Fraction(0), Fraction(1))
-    b = RatInterval(Fraction(2), Fraction(3))
-    assert a.certainly_lt(b)
-    assert not b.certainly_lt(a)
-    assert not a.overlaps(b)
-    assert a.overlaps(RatInterval(Fraction(1), Fraction(5)))
     assert a.strictly_inside(Fraction(-1), Fraction(2))
     assert not a.strictly_inside(Fraction(0), Fraction(2))
 
@@ -94,13 +88,6 @@ def test_sqrt_bounds_bracket() -> None:
         lo, hi = sqrt_lower(q), sqrt_upper(q)
         assert lo * lo <= q <= hi * hi
         assert hi - lo < Fraction(1, 2**80) * max(1, hi)
-
-
-def test_interval_sqrt_monotone() -> None:
-    iv = RatInterval(Fraction(2), Fraction(3))
-    r = interval_sqrt(iv)
-    assert r.lo * r.lo <= 2
-    assert r.hi * r.hi >= 3
 
 
 def test_decimal_bounds_are_outward() -> None:

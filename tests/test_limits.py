@@ -34,6 +34,14 @@ def test_spec_validation() -> None:
         LogEquationSpec("spade", 2, 1, 1)       # no l outside heart
 
 
+def test_zero_precision_rejected() -> None:
+    # precision doubling from 0 bits would never terminate
+    with pytest.raises(InvalidParameters):
+        ordering_check(8, 0)
+    with pytest.raises(InvalidParameters):
+        solve_log_equation(LogEquationSpec("spade", 2, 3), TIGHT, precision_bits=0)
+
+
 def test_spec_polynomial_and_window() -> None:
     club = LogEquationSpec("club", 3, 4)
     assert club.polynomial() == family_poly("club", 3, 4)

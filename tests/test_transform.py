@@ -7,7 +7,7 @@ import pytest
 from pisotlab.errors import InvalidParameters, PisotLabError
 from pisotlab.field import NumberField
 from pisotlab.poly import IntPolynomial, alpha_poly
-from pisotlab.transform import build_table, frac_magnitudes, iterate_once
+from pisotlab.transform import build_table, frac_magnitudes, iterate_column
 
 GOLDEN = NumberField.from_poly([-1, -1, 1])
 SILVER = NumberField.from_poly([-1, -2, 1])
@@ -20,12 +20,16 @@ def test_level0_is_nearest_integers_of_powers() -> None:
         assert table.u(0, n) == GOLDEN.nearest_integer(GOLDEN.theta_power(n))
 
 
-def test_iterate_once_definition() -> None:
+def test_iterate_column_definition() -> None:
     # one step at exponent n: x -> theta^n (x - [x])
     x = GOLDEN.theta_power(5)
-    nxt, u = iterate_once(GOLDEN, 5, x)
-    assert u == 11
-    assert nxt == GOLDEN.element_mul(GOLDEN.theta_power(5), x.shift_constant(-11))
+    cells = list(iterate_column(GOLDEN, 5, 1))
+    assert [c.level for c in cells] == [0, 1]
+    assert cells[0].element == x
+    assert cells[0].integer_part == 11
+    assert cells[1].element == GOLDEN.element_mul(
+        GOLDEN.theta_power(5), x.shift_constant(-11)
+    )
 
 
 def test_golden_level1_alternates_and_is_exact() -> None:
