@@ -12,32 +12,25 @@ Commands:
 Exit codes: 0 success (including pure findings), 2 unparseable input,
 3 certified not-Pisot, 4 rounding/precision failure, 5 a graded expectation
 failed, 6 residual gate or chain-separation failure.
-
-Every global knob has an environment mirror (``PISOTLAB_BITS``,
-``PISOTLAB_TOL``, ``PISOTLAB_EXACT_LIMIT``, ``PISOTLAB_PRECISION_CAP``,
-``PISOTLAB_CATALOG``); explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
 from . import catalog as catalog_mod
 from .certify import certify_pisot
 from .conjectures import (
+    EXACT_LIMIT_DEFAULT,
     alpha_expectations,
     beta_expectations,
-    convergence_check,
-    heart_expectations,
     run_suite,
 )
 from .errors import (
     CatalogError,
     ExactHalfInteger,
-    IncomparableAdjacent,
     InvalidParameters,
     NoRootInInterval,
     NotPisot,
@@ -47,7 +40,7 @@ from .errors import (
 )
 from .field import NumberField
 from .limits import (
-    IDENTITY_KINDS,
+    DEFAULT_TOL,
     LogEquationSpec,
     generalized_congruence_check,
     ordering_check,
@@ -77,23 +70,15 @@ EXIT_EXPECTATION = 5
 EXIT_RESIDUAL = 6
 
 
-def _env(name: str, default: str | None = None) -> str | None:
-    return os.environ.get("PISOTLAB_" + name, default)
-
-
-def _parse_tol(text: str) -> Fraction:
-    """Accept '1e-30', '1/10**30'-free plain decimals, or 'p/q'."""
-    text = text.strip()
+def _parse_tol(text: str | Fraction) -> Fraction:
+    """A positive tolerance: '1e-30', a plain decimal, or 'p/q'."""
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        if "e" in text.lower():
-            mant, exp = text.lower().split("e", 1)
-            return Fraction(mant) * Fraction(10) ** int(exp)
-        return Fraction(text)
+        tol = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidParameters("cannot parse tolerance %r: %s" % (text, exc)) from exc
+    if tol <= 0:
+        raise InvalidParameters("tolerance must be positive, got %s" % text)
+    return tol
 
 
 def _parse_poly(text: str) -> IntPolynomial:
@@ -145,17 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact iterate tables, congruence scans, and limit-point "
         "construction for Pisot numbers.",
     )
-    p.add_argument("--bits", type=int, default=int(_env("BITS", "64")),
-                   help="starting precision for certified rounding")
-    p.add_argument("--tol", default=_env("TOL", "1e-30"),
-                   help="residual tolerance for log-equation gates")
-    p.add_argument("--exact-limit", type=int,
-                   default=int(_env("EXACT_LIMIT", "300")),
+    p.add_argument("--tol", default=DEFAULT_TOL,
+                   help="residual tolerance for log-equation gates (default 1e-30)")
+    p.add_argument("--exact-limit", type=int, default=EXACT_LIMIT_DEFAULT,
                    help="largest prime evaluated through the exact transform")
-    p.add_argument("--precision-cap", type=int,
-                   default=int(_env("PRECISION_CAP", str(1 << 20))),
-                   help="hard ceiling for adaptive rounding precision")
-    p.add_argument("--catalog", default=_env("CATALOG"),
+    p.add_argument("--catalog",
                    help="path to a catalog JSON file (default: bundled)")
 
     sub = p.add_subparsers(dest="command", required=True)
@@ -212,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--target", type=int, required=True, metavar="M")
     g.add_argument("--pmax", type=int, default=None)
     g.add_argument("--count", type=int, default=40,
-                   help="how many sequence terms to emit")
+                   help="at most this many terms of the 12-term row head")
 
     return p
 
@@ -271,12 +250,6 @@ def _resolve_poly(args) -> tuple[str, IntPolynomial]:
     return (entry.name, entry.poly)
 
 
-def _field_for(poly: IntPolynomial, args) -> NumberField:
-    return NumberField.from_poly(
-        poly, start_bits=args.bits, cap_bits=args.precision_cap
-    )
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -303,7 +276,7 @@ def cmd_iterate(args, out) -> int:
         "iterate",
         {"target": label, "poly": enc_poly(poly), "kmax": k_max, "n": [n_lo, n_hi]},
     )
-    field = _field_for(poly, args)
+    field = NumberField.from_poly(poly)
     table = build_table(field, k_max, n_lo, n_hi)
     for k in range(k_max + 1):
         cells = [c for c in table.cells_at_level(k) if n_lo <= c.n <= n_hi]
@@ -391,7 +364,7 @@ def cmd_suite(args, out) -> int:
     writer = ReportWriter(
         out, "suite", {"target": label, "pmax": args.pmax, "graded": bool(grade)}
     )
-    field = _field_for(poly, args)
+    field = NumberField.from_poly(poly)
     suite = run_suite(
         field,
         expectations if grade else None,
@@ -525,6 +498,8 @@ def cmd_generate(args, out) -> int:
     m = args.target
     if m < 2:
         raise InvalidParameters("--target must be >= 2")
+    if args.count < 1:
+        raise InvalidParameters("--count must be >= 1")
     p_hi = args.pmax if args.pmax is not None else max(97, 4 * m)
     spec = LogEquationSpec("heart", m, 2, 1)
     writer = ReportWriter(
@@ -539,7 +514,7 @@ def cmd_generate(args, out) -> int:
         "sequence",
         {
             "poly": enc_poly(gen.solution.poly),
-            "terms": [enc_int(v) for v in level0.u_head],
+            "terms": [enc_int(v) for v in level0.u_head[: args.count]],
             "note": "first terms of the integer-part row; scans cover n <= %d"
             % field_n_hi,
         },

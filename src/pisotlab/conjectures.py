@@ -28,7 +28,6 @@ from .errors import (
     IncomparableMagnitudes,
     InvalidParameters,
     NoRecurrenceFound,
-    PisotLabError,
     PrecisionExhausted,
     RecurrenceUnavailable,
 )
@@ -255,19 +254,18 @@ _TAIL_PATTERNS = {
 }
 
 
-def constant_detect(
-    table: IterateTable, level: int, *, min_run: int = MIN_CONSTANT_RUN
-) -> ConstantVerdict:
+def constant_detect(table: IterateTable, level: int) -> ConstantVerdict:
     """Classify the tail of row ``level`` as constant/alternating ±1.
 
-    The pattern must hold from its onset to the end of the contiguous row.
-    Constants win ties against alternators (a run of equal values matches
-    an alternator only for run length 1).
+    The pattern must hold from its onset to the end of the contiguous row,
+    for at least MIN_CONSTANT_RUN terms.  Constants win ties against
+    alternators (a run of equal values matches an alternator only for run
+    length 1).
     """
-    ns = _contiguous_ns(table, level)
-    if not ns:
+    n_lo, values = table.u_sequence(level)
+    if not values:
         return ConstantVerdict("none")
-    values = {n: table.u(level, n) for n in ns}
+    n_end = n_lo + len(values) - 1
 
     best_kind = "none"
     best_onset: int | None = None
@@ -275,33 +273,23 @@ def constant_detect(
         pattern = _TAIL_PATTERNS[kind]
         onset: int | None = None
         # walk backwards collecting the longest matching suffix
-        for n in reversed(ns):
-            if values[n] == pattern(n):
+        for n in range(n_end, n_lo - 1, -1):
+            if values[n - n_lo] == pattern(n):
                 onset = n
             else:
                 break
         if onset is None:
             continue
-        run = ns[-1] - onset + 1
-        if run < min_run:
+        run = n_end - onset + 1
+        if run < MIN_CONSTANT_RUN:
             continue
         if best_onset is None or onset < best_onset:
             best_kind, best_onset = kind, onset
     if best_onset is None:
         return ConstantVerdict("none")
-    run = ns[-1] - best_onset + 1
-    exact = all(table.cell(level, n).exact_zero for n in ns if n >= best_onset)
+    run = n_end - best_onset + 1
+    exact = all(table.cell(level, n).exact_zero for n in range(best_onset, n_end + 1))
     return ConstantVerdict(best_kind, best_onset, run, exact)
-
-
-def _contiguous_ns(table: IterateTable, level: int) -> list[int]:
-    ns = sorted(cell.n for cell in table.cells_at_level(level))
-    out: list[int] = []
-    for n in ns:
-        if out and n != out[-1] + 1:
-            break
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -583,11 +571,9 @@ def run_suite(
     report.table_failures = dict(table.failures)
 
     for k in range(k_max + 1):
-        ns = _contiguous_ns(table, k)
-        head = tuple(table.u(k, n) for n in ns[:12])
-        rep = LevelReport(k, head)
+        n_lo, seq = table.u_sequence(k)
+        rep = LevelReport(k, tuple(seq[:12]))
 
-        seq = [table.u(k, n) for n in ns]
         if len(seq) >= 8:
             try:
                 rep.recurrence = detect_recurrence(seq)
@@ -609,7 +595,7 @@ def run_suite(
                 exact_limit=exact_limit,
                 table=table,
                 recurrence=rec,
-                recurrence_n_start=ns[0] if ns else 1,
+                recurrence_n_start=n_lo,
             )
         except (RecurrenceUnavailable, ExactHalfInteger, PrecisionExhausted) as exc:
             rep.congruence_error = "%s: %s" % (type(exc).__name__, exc)

@@ -33,6 +33,13 @@ from .poly import IntPolynomial
 
 Coord = Union[int, Fraction]
 
+# Certified rounding starts START_BITS above an element's coordinate size and
+# doubles the theta precision until the answer is certified or CAP_BITS is
+# passed.  Neither changes an answer, only how long it takes or whether it
+# is refused.
+START_BITS = 64
+CAP_BITS = 1 << 20
+
 
 def _norm_coord(c) -> Coord:
     if isinstance(c, int):
@@ -92,26 +99,15 @@ class FieldElement:
 class NumberField:
     """Q(theta) for the dominant root theta of a certified polynomial."""
 
-    def __init__(
-        self,
-        min_poly: IntPolynomial,
-        certificate: PisotCertificate,
-        *,
-        start_bits: int = 64,
-        cap_bits: int = 1 << 20,
-    ):
+    def __init__(self, min_poly: IntPolynomial, certificate: PisotCertificate):
         if not certificate.geometry_ok:
             raise NotPisot(
                 f"{min_poly} failed certification: {certificate.failure_reason}",
                 certificate,
             )
-        if start_bits < 0:
-            raise InvalidParameters("start_bits must be >= 0")
         self.min_poly = min_poly
         self.degree = min_poly.degree
         self.certificate = certificate
-        self.start_bits = start_bits
-        self.cap_bits = cap_bits
         self._theta_iv = certificate.dominant_root
         self._power_cache: dict[int, FieldElement] = {}
         # theta^(d+j) for j = 0..d-2, enough to reduce any product of two elements
@@ -120,16 +116,10 @@ class NumberField:
         ]
 
     @classmethod
-    def from_poly(
-        cls,
-        p: IntPolynomial | Sequence[int],
-        *,
-        start_bits: int = 64,
-        cap_bits: int = 1 << 20,
-    ) -> "NumberField":
+    def from_poly(cls, p: IntPolynomial | Sequence[int]) -> "NumberField":
         if not isinstance(p, IntPolynomial):
             p = IntPolynomial.from_coeffs(p)
-        return cls(p, certify_pisot(p), start_bits=start_bits, cap_bits=cap_bits)
+        return cls(p, certify_pisot(p))
 
     def __repr__(self) -> str:
         return f"NumberField({self.min_poly})"
@@ -259,16 +249,16 @@ class NumberField:
             z = math.floor(v + Fraction(1, 2))
             return z, RatInterval.point(v), 0
         bits = self._initial_bits(a)
-        while bits <= self.cap_bits:
+        while bits <= CAP_BITS:
             e = self.eval_interval(a, bits)
             z = math.floor(e.mid + Fraction(1, 2))
             if e.lo > z - Fraction(1, 2) and e.hi < z + Fraction(1, 2):
                 return z, e, bits
             bits *= 2
         raise PrecisionExhausted(
-            f"rounding undecided at {self.cap_bits} bits "
+            f"rounding undecided at {CAP_BITS} bits "
             "(value may be pathologically close to a half-integer)",
-            bits=self.cap_bits,
+            bits=CAP_BITS,
         )
 
     def nearest_integer(self, a: FieldElement) -> int:
@@ -281,4 +271,4 @@ class NumberField:
             (abs(c.numerator if isinstance(c, Fraction) else c) for c in a.coords),
             default=1,
         )
-        return self.start_bits + max(0, size.bit_length())
+        return START_BITS + max(0, size.bit_length())

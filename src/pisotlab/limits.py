@@ -25,7 +25,13 @@ from fractions import Fraction
 import mpmath
 
 from .certify import PisotCertificate, Verdict, certify_pisot, refine_root, sign_at
-from .conjectures import ExpectationSet, SuiteReport, heart_expectations, run_suite
+from .conjectures import (
+    EXACT_LIMIT_DEFAULT,
+    ExpectationSet,
+    SuiteReport,
+    heart_expectations,
+    run_suite,
+)
 from .errors import (
     IncomparableAdjacent,
     InvalidParameters,
@@ -115,10 +121,7 @@ class LimitPointSolution:
 
 
 def solve_log_equation(
-    spec: LogEquationSpec,
-    tol: Fraction = DEFAULT_TOL,
-    *,
-    precision_bits: int = DEFAULT_SOLVE_BITS,
+    spec: LogEquationSpec, tol: Fraction = DEFAULT_TOL
 ) -> LimitPointSolution:
     """Solve one log-equation spec to a certified Pisot limit point.
 
@@ -128,11 +131,11 @@ def solve_log_equation(
     logarithmic equation at the root.  The residual must certify below
     ``tol``; a residual certified *above* ``tol`` raises
     :class:`ResidualTooLarge` (the polynomial reduction would be wrong).
+    The residual is evaluated from DEFAULT_SOLVE_BITS up, doubling to
+    SOLVE_MAX_BITS.
     """
     if tol <= 0:
         raise InvalidParameters("tolerance must be positive")
-    if precision_bits < 1:
-        raise InvalidParameters("precision must be at least 1 bit")
     raw = spec.polynomial()
     reduced, mult = strip_unit_root(raw)
     lo_end, hi_end = spec.root_window
@@ -156,13 +159,13 @@ def solve_log_equation(
             certificate=cert,
         )
 
-    root = refine_root(reduced, cert.dominant_root, precision_bits + 8)
+    root = refine_root(reduced, cert.dominant_root, DEFAULT_SOLVE_BITS + 8)
     if not root.strictly_inside(Fraction(lo_end), Fraction(hi_end)):
         raise NoRootInInterval(
             "dominant root %s of %s falls outside ]%d, %d[" % (root, spec.label(), lo_end, hi_end)
         )
 
-    bits = precision_bits
+    bits = DEFAULT_SOLVE_BITS
     while True:
         root = refine_root(reduced, root, bits + 8)
         ratio = _log_ratio(bits, root, _family_log_terms(spec, root))
@@ -386,7 +389,7 @@ def generalized_congruence_check(
     tol: Fraction = DEFAULT_TOL,
     p_lo: int = 2,
     n_hi: int | None = None,
-    exact_limit: int = 300,
+    exact_limit: int = EXACT_LIMIT_DEFAULT,
 ) -> GeneralizedCongruenceReport:
     """Solve a heart-family equation and grade its iterate table against the
     generalized residue pattern (level 0 = m, middle levels = 0, level n-1 =

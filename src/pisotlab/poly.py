@@ -209,33 +209,6 @@ def poly_from_terms(terms: Iterable[tuple[int, int]]) -> IntPolynomial:
 # coefficient symmetry
 
 
-def classify_symmetry(p: IntPolynomial) -> SymmetryClass:
-    """Classify the coefficient symmetry of ``p``.
-
-    With n = deg p and coefficients a_0..a_n:
-
-    * palindromic:        a_i == a_{n-i} for all i;
-    * anti-palindromic:   a_i == -a_{n-i} for all i;
-    * semi-palindromic:   a_i == -a_{n-i} for even i < n and
-                          a_i ==  a_{n-i} for odd i.
-
-    First match in that order wins; NONE otherwise.  Degree must be >= 1.
-    """
-    n = p.degree
-    if n < 1:
-        raise InvalidParameters("classification needs degree >= 1")
-    a = [p.coeff(i) for i in range(n + 1)]
-    if all(a[i] == a[n - i] for i in range(n + 1)):
-        return SymmetryClass.PALINDROMIC
-    if all(a[i] == -a[n - i] for i in range(n + 1)):
-        return SymmetryClass.ANTI_PALINDROMIC
-    even_ok = all(a[i] == -a[n - i] for i in range(0, n, 2))
-    odd_ok = all(a[i] == a[n - i] for i in range(1, n + 1, 2))
-    if even_ok and odd_ok:
-        return SymmetryClass.SEMI_PALINDROMIC
-    return SymmetryClass.NONE
-
-
 def classify_pair(p: IntPolynomial, q: IntPolynomial) -> PairRelation:
     """Classify the coefficient relation between two polynomials of equal
     degree n (coefficients a_i of p, b_i of q):
@@ -263,6 +236,22 @@ def classify_pair(p: IntPolynomial, q: IntPolynomial) -> PairRelation:
     if even_ok and odd_ok:
         return PairRelation.SEMI_RECIPROCAL
     return PairRelation.NONE
+
+
+_SYMMETRY_OF_SELF_PAIR = {
+    PairRelation.RECIPROCAL: SymmetryClass.PALINDROMIC,
+    PairRelation.ANTI_RECIPROCAL: SymmetryClass.ANTI_PALINDROMIC,
+    PairRelation.SEMI_RECIPROCAL: SymmetryClass.SEMI_PALINDROMIC,
+    PairRelation.NONE: SymmetryClass.NONE,
+}
+
+
+def classify_symmetry(p: IntPolynomial) -> SymmetryClass:
+    """Classify the coefficient symmetry of ``p``: its relation to itself
+    under :func:`classify_pair` (reciprocal is palindromic, and so on).
+    First match wins; NONE otherwise.  Degree must be >= 1.
+    """
+    return _SYMMETRY_OF_SELF_PAIR[classify_pair(p, p)]
 
 
 # ---------------------------------------------------------------------------

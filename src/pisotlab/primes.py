@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from math import isqrt
-
 _SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -33,18 +31,4 @@ def is_prime(n: int) -> bool:
 
 def primes_between(lo: int, hi: int) -> list[int]:
     """All primes p with lo <= p <= hi, ascending."""
-    if hi < 2 or hi < lo:
-        return []
-    lo = max(lo, 2)
-    if hi - lo > 10_000:
-        return _sieve_range(lo, hi)
-    return [n for n in range(lo, hi + 1) if is_prime(n)]
-
-
-def _sieve_range(lo: int, hi: int) -> list[int]:
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(hi) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [n for n in range(lo, hi + 1) if sieve[n]]
+    return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]

@@ -83,19 +83,16 @@ def _holds_at(seq: Sequence[int], b: Sequence[Fraction], i: int) -> bool:
     return seq[i] == sum(c * seq[i - 1 - k] for k, c in enumerate(b))
 
 
-def detect_recurrence(
-    seq: Sequence[int], max_order: int | None = None
-) -> Recurrence:
+def detect_recurrence(seq: Sequence[int]) -> Recurrence:
     """Find the smallest-order linear recurrence fitting the tail of ``seq``.
 
     The fit window is the last 2*order + 4 terms; the order search is
-    therefore capped at len(seq)//2 - 2 regardless of ``max_order``.  Raises
-    NoRecurrenceFound when nothing fits.
+    therefore capped at len(seq)//2 - 2.  Raises NoRecurrenceFound when
+    nothing fits.
     """
     seq = list(seq)
     length = len(seq)
-    hard_cap = length // 2 - 2
-    cap = hard_cap if max_order is None else min(max_order, hard_cap)
+    cap = length // 2 - 2
     if cap < 1:
         raise NoRecurrenceFound(f"sequence of length {length} is too short")
     for j in range(1, cap + 1):

@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import pytest
 
-from pisotlab.cli import main
+import pisotlab.field
+from pisotlab.cli import build_parser, main
 
 GOLDEN_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "catalog_cli.jsonl"
 # the golden commands that run in about a second together
@@ -79,9 +79,11 @@ def test_certify_unit_root_reported(capsys) -> None:
         ["iterate", "--name", "golden", "--n", "0:4"],
         ["--tol", "junk", "certify", "--name", "golden"],
         ["generate", "--target", "1"],
-        ["--bits", "-2", "iterate", "--name", "golden", "--n", "1:5"],
+        ["--tol", "0", "limits", "identities"],
         ["limits", "ordering", "--bits", "-9"],
         ["limits", "ordering", "--count", "8", "--bits", "0"],
+        ["--tol", "0", "limits", "solve", "--family", "spade", "--m", "2", "--n", "3"],
+        ["generate", "--target", "7", "--count", "0"],
     ],
 )
 def test_parse_errors_exit_2(capsys, argv) -> None:
@@ -109,11 +111,22 @@ def test_iterate_golden_rows(capsys) -> None:
     assert rows[1]["exact_zero"]["2"] is True
 
 
-def test_iterate_precision_cap_exhaustion(capsys) -> None:
+def test_global_options_are_tol_exact_limit_catalog() -> None:
+    parser = build_parser()
+    options = {
+        opt
+        for action in parser._actions
+        for opt in action.option_strings
+        if opt not in ("-h", "--help")
+    }
+    assert options == {"--tol", "--exact-limit", "--catalog"}
+
+
+def test_iterate_precision_cap_exhaustion(capsys, monkeypatch) -> None:
+    # a cap below the first rounding pass refuses every irrational cell
+    monkeypatch.setattr(pisotlab.field, "CAP_BITS", 32)
     code, lines, _ = run(
-        capsys,
-        ["--bits", "16", "--precision-cap", "32",
-         "iterate", "--name", "atypical", "--kmax", "0", "--n", "78:80"],
+        capsys, ["iterate", "--name", "atypical", "--kmax", "0", "--n", "78:80"]
     )
     assert code == 4
     assert trailer(lines)["status"] == "rounding_failure"
@@ -214,12 +227,14 @@ def test_generate_hits_target(capsys) -> None:
     assert cong["branch"]["onset_prime"] == 11
 
 
-def test_env_mirrors(capsys, monkeypatch, tmp_path) -> None:
-    monkeypatch.setenv("PISOTLAB_TOL", "1e-200")
-    code, _, _ = run(capsys, ["limits", "identities", "--n", "1:1"])
-    assert code == 6
-    monkeypatch.delenv("PISOTLAB_TOL")
+def test_generate_count_limits_terms(capsys) -> None:
+    code, lines, _ = run(capsys, ["generate", "--target", "7", "--count", "3"])
+    assert code == 0
+    assert header(lines)["inputs"]["count"] == 3
+    assert records(lines, "sequence")[0]["terms"] == ["7", "49", "340"]
 
+
+def test_catalog_flag(capsys, tmp_path) -> None:
     cat = tmp_path / "only_golden.json"
     cat.write_text(
         json.dumps(
@@ -229,10 +244,9 @@ def test_env_mirrors(capsys, monkeypatch, tmp_path) -> None:
             }
         )
     )
-    monkeypatch.setenv("PISOTLAB_CATALOG", str(cat))
-    code, _, _ = run(capsys, ["certify", "--name", "golden"])
+    code, _, _ = run(capsys, ["--catalog", str(cat), "certify", "--name", "golden"])
     assert code == 0
-    code, _, err = run(capsys, ["certify", "--name", "silver"])
+    code, _, err = run(capsys, ["--catalog", str(cat), "certify", "--name", "silver"])
     assert code == 2
     assert "no catalog entry" in err
 
@@ -273,8 +287,6 @@ def test_cheap_golden_commands_present() -> None:
 @pytest.mark.parametrize(
     "argv,code,stdout", CHEAP_COMMANDS, ids=[" ".join(c[0]) for c in CHEAP_COMMANDS]
 )
-def test_output_matches_golden(capsys, monkeypatch, argv, code, stdout) -> None:
-    for key in [k for k in os.environ if k.startswith("PISOTLAB_")]:
-        monkeypatch.delenv(key)
+def test_output_matches_golden(capsys, argv, code, stdout) -> None:
     assert main(list(argv)) == code
     assert capsys.readouterr().out == stdout

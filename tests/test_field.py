@@ -132,13 +132,6 @@ def test_rounding_random_elements_against_direct_eval() -> None:
             assert got == want
 
 
-def test_negative_start_bits_rejected() -> None:
-    with pytest.raises(InvalidParameters):
-        NumberField.from_poly([-1, -1, 1], start_bits=-1)
-    field = NumberField.from_poly([-1, -1, 1], start_bits=0)
-    assert field.nearest_integer(field.theta_power(10)) == 123
-
-
 def test_degree_one_field() -> None:
     f = NumberField.from_poly([-4, 1])
     t = f.theta()

@@ -38,8 +38,6 @@ def test_zero_precision_rejected() -> None:
     # precision doubling from 0 bits would never terminate
     with pytest.raises(InvalidParameters):
         ordering_check(8, 0)
-    with pytest.raises(InvalidParameters):
-        solve_log_equation(LogEquationSpec("spade", 2, 3), TIGHT, precision_bits=0)
 
 
 def test_spec_polynomial_and_window() -> None:

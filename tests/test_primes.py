@@ -20,3 +20,7 @@ def test_primes_between_inclusive() -> None:
     assert primes_between(13, 31) == [13, 17, 19, 23, 29, 31]
     assert primes_between(14, 16) == []
     assert primes_between(2, 2) == [2]
+
+
+def test_primes_between_wide_range_matches_sympy() -> None:
+    assert primes_between(2, 20_000) == list(sympy.primerange(2, 20_001))

@@ -66,7 +66,7 @@ def test_detect_no_recurrence() -> None:
     rng = random.Random(2)
     seq = [rng.randint(-100, 100) for _ in range(24)]
     with pytest.raises(NoRecurrenceFound):
-        detect_recurrence(seq, max_order=4)
+        detect_recurrence(seq)
 
 
 def test_detect_random_recurrences_roundtrip() -> None:
