@@ -50,7 +50,6 @@ from .limits import (
     LimitPointSolution,
     LogEquationSpec,
     OrderingReport,
-    generalized_congruence_check,
     ordering_check,
     solve_log_equation,
     verify_identity,
@@ -129,7 +128,6 @@ __all__ = [
     "convergence_check",
     "detect_recurrence",
     "frac_magnitudes",
-    "generalized_congruence_check",
     "heart_expectations",
     "load_catalog",
     "modular_extend",

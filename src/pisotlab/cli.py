@@ -26,6 +26,7 @@ from .conjectures import (
     EXACT_LIMIT_DEFAULT,
     alpha_expectations,
     beta_expectations,
+    heart_expectations,
     run_suite,
 )
 from .errors import (
@@ -42,7 +43,6 @@ from .field import NumberField
 from .limits import (
     DEFAULT_TOL,
     LogEquationSpec,
-    generalized_congruence_check,
     ordering_check,
     solve_log_equation,
     verify_identity,
@@ -111,17 +111,9 @@ def _parse_family(text: str) -> LogEquationSpec:
     """'heart:3,2,1' or 'club:4,5' or 'spade:2,1'."""
     try:
         fam, rest = text.split(":", 1)
-        nums = [int(t) for t in rest.split(",")]
-    except ValueError as exc:
+        return LogEquationSpec(fam.strip(), *(int(t) for t in rest.split(",")))
+    except (ValueError, TypeError) as exc:
         raise InvalidParameters("bad family spec %r: %s" % (text, exc)) from exc
-    fam = fam.strip()
-    if fam == "heart":
-        if len(nums) != 3:
-            raise InvalidParameters("heart takes m,n,l")
-        return LogEquationSpec("heart", nums[0], nums[1], nums[2])
-    if len(nums) != 2:
-        raise InvalidParameters("%s takes m,n" % fam)
-    return LogEquationSpec(fam, nums[0], nums[1])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,75 +291,54 @@ def cmd_iterate(args, out) -> int:
 
 
 def _suite_target(args):
-    """Resolve the suite target to (label, poly, expectations, skipped_note)."""
+    """Resolve the suite target to (label, poly or LogEquationSpec,
+    expectations, graded)."""
     if args.alpha is not None:
         if args.alpha < 1:
             raise InvalidParameters("--alpha needs N >= 1")
-        return ("alpha_%d" % args.alpha, alpha_poly(args.alpha),
-                alpha_expectations(args.alpha, max_onset_prime=13))
-    if args.beta is not None:
+        label, poly = "alpha_%d" % args.alpha, alpha_poly(args.alpha)
+        expectations = alpha_expectations(args.alpha, max_onset_prime=13)
+    elif args.beta is not None:
         if args.beta < 1:
             raise InvalidParameters("--beta needs N >= 1")
-        return ("beta_%d" % args.beta, beta_poly(args.beta),
-                beta_expectations(args.beta, max_onset_prime=13))
-    if args.family is not None:
+        label, poly = "beta_%d" % args.beta, beta_poly(args.beta)
+        expectations = beta_expectations(args.beta, max_onset_prime=13)
+    elif args.family is not None:
         spec = _parse_family(args.family)
-        return (spec.label(), None, spec)
-    label, poly = _resolve_poly(args)
-    expectations = None
-    if getattr(args, "name", None):
-        cat = catalog_mod.load_catalog(args.catalog)
-        expectations = cat.get(args.name).expectations
-    return (label, poly, expectations)
+        if spec.family != "heart":
+            raise InvalidParameters("generalized congruences are stated for the heart family")
+        # family targets default to findings mode; --expect opts into grading
+        return (spec.label(), spec, heart_expectations(spec.m, spec.n), bool(args.expect))
+    elif args.name is not None:
+        entry = catalog_mod.load_catalog(args.catalog).get(args.name)
+        label, poly, expectations = entry.name, entry.poly, entry.expectations
+    else:
+        (label, poly), expectations = _resolve_poly(args), None
+    graded = args.expect if args.expect is not None else expectations is not None
+    return (label, poly, expectations, graded)
 
 
 def cmd_suite(args, out) -> int:
-    label, poly, expject = _suite_target(args)
-    grade = args.expect
-
-    if isinstance(expject, LogEquationSpec):
-        # Family targets default to findings mode; --expect opts into the
-        # generalized-pattern grading.
-        grade = bool(grade)
-        rep_label = expject.label()
-        writer = ReportWriter(
-            out, "suite", {"target": rep_label, "pmax": args.pmax, "graded": grade}
-        )
-        gen = generalized_congruence_check(
-            expject,
-            p_hi=args.pmax,
-            tol=args.tol,
-            p_lo=args.plo,
-            n_hi=args.nmax,
-            exact_limit=args.exact_limit,
-        )
+    label, target, expectations, graded = _suite_target(args)
+    writer = ReportWriter(
+        out, "suite", {"target": label, "pmax": args.pmax, "graded": graded}
+    )
+    if isinstance(target, LogEquationSpec):
+        sol = solve_log_equation(target, args.tol)
         writer.record(
             "solution",
             {
-                "poly": enc_poly(gen.solution.poly),
-                "root": enc_interval(gen.solution.root, gen.solution.residual_bits),
-                "residual_hi": enc_fraction(gen.solution.residual.hi),
+                "poly": enc_poly(sol.poly),
+                "root": enc_interval(sol.root, sol.residual_bits),
+                "residual_hi": enc_fraction(sol.residual.hi),
             },
         )
-        _emit_suite(writer, gen.suite, graded=grade)
-        if gen.skipped_middle:
-            writer.record("note", {"text": "no strictly-middle congruence levels; skipped"})
-        if grade and not gen.suite.passed:
-            writer.close("expectation_failure")
-            return EXIT_EXPECTATION
-        writer.close()
-        return EXIT_OK
-
-    expectations = expject
-    if grade is None:
-        grade = expectations is not None
-    writer = ReportWriter(
-        out, "suite", {"target": label, "pmax": args.pmax, "graded": bool(grade)}
-    )
-    field = NumberField.from_poly(poly)
+        field = NumberField(sol.poly, sol.certificate)
+    else:
+        field = NumberField.from_poly(target)
     suite = run_suite(
         field,
-        expectations if grade else None,
+        expectations if graded else None,
         p_lo=args.plo,
         p_hi=args.pmax,
         k_max=args.kmax,
@@ -375,8 +346,10 @@ def cmd_suite(args, out) -> int:
         exact_limit=args.exact_limit,
         include_convergence=args.convergence,
     )
-    _emit_suite(writer, suite, graded=bool(grade))
-    if grade and expectations is not None and not suite.passed:
+    _emit_suite(writer, suite, graded=graded)
+    if isinstance(target, LogEquationSpec) and target.n <= 2:
+        writer.record("note", {"text": "no strictly-middle congruence levels; skipped"})
+    if graded and not suite.passed:
         writer.close("expectation_failure")
         return EXIT_EXPECTATION
     writer.close()
@@ -505,18 +478,22 @@ def cmd_generate(args, out) -> int:
     writer = ReportWriter(
         out, "generate", {"target": m, "pmax": p_hi, "count": args.count}
     )
-    gen = generalized_congruence_check(
-        spec, p_hi=p_hi, tol=args.tol, exact_limit=args.exact_limit
+    sol = solve_log_equation(spec, args.tol)
+    # only level 0 is reported, so only level 0 is tabulated
+    suite = run_suite(
+        NumberField(sol.poly, sol.certificate),
+        p_hi=p_hi,
+        k_max=0,
+        exact_limit=args.exact_limit,
     )
-    level0 = gen.suite.level_report(0)
-    field_n_hi = gen.suite.n_hi
+    level0 = suite.level_report(0)
     writer.record(
         "sequence",
         {
-            "poly": enc_poly(gen.solution.poly),
+            "poly": enc_poly(sol.poly),
             "terms": [enc_int(v) for v in level0.u_head[: args.count]],
             "note": "first terms of the integer-part row; scans cover n <= %d"
-            % field_n_hi,
+            % suite.n_hi,
         },
     )
     if level0.congruence is not None:

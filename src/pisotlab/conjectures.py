@@ -155,16 +155,16 @@ def congruence_scan(
     exact_limit: int = EXACT_LIMIT_DEFAULT,
     table: IterateTable | None = None,
     recurrence: Recurrence | None = None,
-    recurrence_n_start: int = 1,
 ) -> CongruenceReport:
     """Scan ``u^level_p mod p`` over primes ``p_lo <= p <= p_hi``.
 
     Primes up to ``exact_limit`` are evaluated exactly (reusing ``table``
     when it covers the column, otherwise recomputing the column).  Primes
     beyond ``exact_limit`` need a verified ``recurrence`` for the level's
-    row; residues are then pushed forward with modular companion-matrix
-    powers from exact initial terms.  ``recurrence_n_start`` says which
-    exponent the recurrence's index 0 refers to.
+    row, whose index 0 is exponent ``SUITE_N_LO``; residues are then pushed
+    forward with modular companion-matrix powers from exact initial terms.
+    Primes below the recurrence's onset are still evaluated exactly, since
+    the recurrence is not claimed to hold there.
 
     Raises :class:`RecurrenceUnavailable` if extension is needed but no
     recurrence was supplied, and propagates rounding failures from exact
@@ -179,34 +179,26 @@ def congruence_scan(
     centered: dict[int, int] = {}
     method: dict[int, str] = {}
 
-    need_extension = any(p > exact_limit for p in primes)
     init: list[int] = []
     onset_n = 0
-    if need_extension:
+    if any(p > exact_limit for p in primes):
         if recurrence is None:
             raise RecurrenceUnavailable(
                 "primes beyond exact_limit=%d need a verified recurrence for level %d"
                 % (exact_limit, level)
             )
-        onset_n = recurrence_n_start + recurrence.onset
+        onset_n = SUITE_N_LO + recurrence.onset
         init = [
             _table_or_column(field, table, level, onset_n + i)
             for i in range(recurrence.order)
         ]
 
     for p in primes:
-        if p <= exact_limit:
+        if p <= exact_limit or p < onset_n:
             u = _table_or_column(field, table, level, p)
             method[p] = METHOD_EXACT
         else:
-            assert recurrence is not None
-            u = modular_extend(
-                recurrence,
-                init,
-                p,
-                p - onset_n,
-                start_index=0,
-            )
+            u = modular_extend(recurrence, init, p, p - SUITE_N_LO)
             method[p] = METHOD_RECURRENCE
         residues[p] = u % p
         centered[p] = centered_residue(u, p)
@@ -424,7 +416,7 @@ def _pattern_expectations(
     n: int,
     residues: tuple[int, int, int],
     top: tuple[str, ...],
-    max_onset_prime: int | None,
+    max_onset_prime: int | None = None,
 ) -> ExpectationSet:
     """Congruence levels 0..n-1 and a tail at level ``n``.
 
@@ -469,9 +461,7 @@ def beta_expectations(n: int, *, max_onset_prime: int | None = None) -> Expectat
     return _pattern_expectations("beta_%d" % n, n, (1, 1, 1), top, max_onset_prime)
 
 
-def heart_expectations(
-    m0: int, n: int, *, max_onset_prime: int | None = None
-) -> ExpectationSet:
+def heart_expectations(m0: int, n: int) -> ExpectationSet:
     """Generalized pattern for degree-``n+1`` heart-family fields.
 
     Level 0 residue ``m0``, strictly-middle levels residue 0, level
@@ -483,7 +473,6 @@ def heart_expectations(
         n,
         (m0, 0, -1),
         ("plus_one", "alt_odd_plus"),
-        max_onset_prime,
     )
 
 
@@ -571,7 +560,7 @@ def run_suite(
     report.table_failures = dict(table.failures)
 
     for k in range(k_max + 1):
-        n_lo, seq = table.u_sequence(k)
+        _, seq = table.u_sequence(k)
         rep = LevelReport(k, tuple(seq[:12]))
 
         if len(seq) >= 8:
@@ -595,7 +584,6 @@ def run_suite(
                 exact_limit=exact_limit,
                 table=table,
                 recurrence=rec,
-                recurrence_n_start=n_lo,
             )
         except (RecurrenceUnavailable, ExactHalfInteger, PrecisionExhausted) as exc:
             rep.congruence_error = "%s: %s" % (type(exc).__name__, exc)

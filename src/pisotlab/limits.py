@@ -25,13 +25,6 @@ from fractions import Fraction
 import mpmath
 
 from .certify import PisotCertificate, Verdict, certify_pisot, refine_root, sign_at
-from .conjectures import (
-    EXACT_LIMIT_DEFAULT,
-    ExpectationSet,
-    SuiteReport,
-    heart_expectations,
-    run_suite,
-)
 from .errors import (
     IncomparableAdjacent,
     InvalidParameters,
@@ -40,14 +33,13 @@ from .errors import (
     PrecisionExhausted,
     ResidualTooLarge,
 )
-from .field import NumberField
 from .intervals import RatInterval, interval_to_iv, iv_to_interval
 from .poly import (
     IntPolynomial,
     alpha_poly,
     beta_poly,
     delta2_poly,
-    family_poly,
+    poly_from_terms,
     strip_unit_root,
 )
 
@@ -60,8 +52,6 @@ __all__ = [
     "ChainEntry",
     "OrderingReport",
     "ordering_check",
-    "GeneralizedCongruenceReport",
-    "generalized_congruence_check",
 ]
 
 DEFAULT_TOL = Fraction(1, 10**30)
@@ -101,7 +91,10 @@ class LogEquationSpec:
         return (self.m - 1, self.m)
 
     def polynomial(self) -> IntPolynomial:
-        return family_poly(self.family, self.m, self.n, self.l)
+        head = [(self.n + 1, 1), (self.n, -self.m)]
+        if self.family == "heart":
+            return poly_from_terms(head + [(1, 1), (0, self.l - self.m)])
+        return poly_from_terms(head + [(0, 1 if self.family == "club" else -1)])
 
     def label(self) -> str:
         if self.family == "heart":
@@ -364,54 +357,3 @@ def ordering_check(count: int, precision_bits: int = 128) -> OrderingReport:
             raise IncomparableAdjacent(
                 "chain enclosures still overlap at %d bits" % cap, bits=cap
             )
-
-
-# ---------------------------------------------------------------------------
-# generalized congruence pattern for heart fields
-
-
-@dataclass(frozen=True)
-class GeneralizedCongruenceReport:
-    solution: LimitPointSolution
-    suite: SuiteReport
-    expectations: ExpectationSet
-    skipped_middle: bool  # n too small for strictly-middle congruence levels
-
-    @property
-    def passed(self) -> bool:
-        return self.suite.passed
-
-
-def generalized_congruence_check(
-    spec: LogEquationSpec,
-    p_hi: int = 97,
-    *,
-    tol: Fraction = DEFAULT_TOL,
-    p_lo: int = 2,
-    n_hi: int | None = None,
-    exact_limit: int = EXACT_LIMIT_DEFAULT,
-) -> GeneralizedCongruenceReport:
-    """Solve a heart-family equation and grade its iterate table against the
-    generalized residue pattern (level 0 = m, middle levels = 0, level n-1 =
-    -1, top level a +-1 tail).
-
-    The top-level expectation follows the claimed pattern; fields with
-    m - l > 1 empirically grow geometric top rows instead, and then this
-    check honestly reports the failed expectation.
-    """
-    if spec.family != "heart":
-        raise InvalidParameters("generalized congruences are stated for the heart family")
-    solution = solve_log_equation(spec, tol)
-    field = NumberField(solution.poly, solution.certificate)
-    expectations = heart_expectations(spec.m, spec.n)
-    suite = run_suite(
-        field,
-        expectations,
-        p_lo=p_lo,
-        p_hi=p_hi,
-        n_hi=n_hi,
-        exact_limit=exact_limit,
-    )
-    return GeneralizedCongruenceReport(
-        solution, suite, expectations, skipped_middle=spec.n <= 2
-    )

@@ -287,38 +287,6 @@ def plastic_poly() -> IntPolynomial:
     return IntPolynomial.from_coeffs([-1, -1, 0, 1])
 
 
-_FAMILIES = ("club", "heart", "spade")
-
-
-def family_poly(family: str, m: int, n: int, l: int | None = None) -> IntPolynomial:
-    """Polynomial whose dominant root solves one of the three logarithmic
-    equation families.
-
-    * club:   x^{n+1} - m x^n + 1          (root meant in ]m-1, m[)
-    * heart:  x^{n+1} - m x^n + x - m + l  (root meant in ]m-1, m[, 1 <= l < m)
-    * spade:  x^{n+1} - m x^n - 1          (root meant in ]m, m+1[)
-
-    Parameters: m >= 2, n >= 1; ``l`` only for heart.
-    """
-    if family not in _FAMILIES:
-        raise InvalidParameters(f"unknown family {family!r}")
-    if m < 2:
-        raise InvalidParameters("family_poly needs m >= 2")
-    if n < 1:
-        raise InvalidParameters("family_poly needs n >= 1")
-    if family == "heart":
-        if l is None:
-            raise InvalidParameters("heart needs the third parameter l")
-        if not 1 <= l < m:
-            raise InvalidParameters("heart needs 1 <= l < m")
-        return poly_from_terms([(n + 1, 1), (n, -m), (1, 1), (0, l - m)])
-    if l is not None:
-        raise InvalidParameters(f"{family} takes no third parameter")
-    if family == "club":
-        return poly_from_terms([(n + 1, 1), (n, -m), (0, 1)])
-    return poly_from_terms([(n + 1, 1), (n, -m), (0, -1)])
-
-
 def strip_unit_root(p: IntPolynomial) -> tuple[IntPolynomial, int]:
     """Divide out every (x - 1) factor; returns (quotient, multiplicity)."""
     k = 0

@@ -293,10 +293,9 @@ def modular_extend(
     initial_terms: Sequence[int],
     p: int,
     target_index: int,
-    start_index: int | None = None,
 ) -> int:
     """u_{target_index} mod p, where initial_terms are the exact values
-    u_{start}, ..., u_{start + order - 1} (start defaults to r.onset).
+    u_{onset}, ..., u_{onset + order - 1}.
 
     Companion-matrix exponentiation, O(order^3 log target_index).
     """
@@ -307,19 +306,18 @@ def modular_extend(
         raise InvalidParameters(f"need exactly {j} initial terms")
     if p < 2:
         raise InvalidParameters("modulus must be >= 2")
-    start = r.onset if start_index is None else start_index
-    if target_index < start:
+    if target_index < r.onset:
         raise IndexBelowOnset(
-            f"index {target_index} precedes the recurrence onset {start}"
+            f"index {target_index} precedes the recurrence onset {r.onset}"
         )
-    if target_index < start + j:
-        return initial_terms[target_index - start] % p
+    if target_index < r.onset + j:
+        return initial_terms[target_index - r.onset] % p
     coeffs = [int(c) % p for c in r.coeffs]
     mat = [[0] * j for _ in range(j)]
     mat[0] = coeffs[:]
     for i in range(1, j):
         mat[i][i - 1] = 1
-    steps = target_index - (start + j - 1)
+    steps = target_index - (r.onset + j - 1)
     power = _mat_pow(mat, steps, p)
     state = [initial_terms[j - 1 - i] % p for i in range(j)]  # newest first
     return sum(power[0][i] * state[i] for i in range(j)) % p

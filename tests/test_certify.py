@@ -81,6 +81,22 @@ def test_certify_rejects_non_pisot(coeffs) -> None:
     assert cert.failure_reason
 
 
+@pytest.mark.parametrize(
+    "poly",
+    [
+        # Lehmer's polynomial: a Salem number with eight conjugates on |z| = 1
+        IntPolynomial.from_coeffs([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]),
+        # (x^3 - x - 1)(x^2 + x + 1): the plastic number times a cyclotomic
+        plastic_poly() * IntPolynomial.from_coeffs([1, 1, 1]),
+    ],
+    ids=["lehmer", "plastic_times_cyclotomic"],
+)
+def test_certify_rejects_unit_circle_conjugate(poly) -> None:
+    cert = certify_pisot(poly)
+    assert cert.verdict is Verdict.NOT_PISOT
+    assert cert.failure_reason == "a conjugate lies exactly on the unit circle"
+
+
 def test_certify_x2_minus_3x_plus_1_is_pisot() -> None:
     # conjugate 0.381966... lies inside the unit disc
     p = IntPolynomial.from_coeffs([1, -3, 1])

@@ -7,6 +7,7 @@ import pytest
 
 import pisotlab.field
 from pisotlab.cli import build_parser, main
+from pisotlab.poly import alpha_poly
 
 GOLDEN_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "catalog_cli.jsonl"
 # the golden commands that run in about a second together
@@ -84,6 +85,9 @@ def test_certify_unit_root_reported(capsys) -> None:
         ["limits", "ordering", "--count", "8", "--bits", "0"],
         ["--tol", "0", "limits", "solve", "--family", "spade", "--m", "2", "--n", "3"],
         ["generate", "--target", "7", "--count", "0"],
+        ["suite", "--family", "heart:3,2"],
+        ["suite", "--family", "heart:3,2,1,1"],
+        ["suite", "--family", "club:3,2"],
     ],
 )
 def test_parse_errors_exit_2(capsys, argv) -> None:
@@ -173,6 +177,51 @@ def test_suite_family_findings_vs_graded(capsys) -> None:
     assert trailer(lines)["status"] == "expectation_failure"
     failed = [o for o in records(lines, "expectation") if not o["passed"]]
     assert failed and all(o["aspect"] == "constant" for o in failed)
+    # the congruence part of the pattern still holds
+    cong = [o for o in records(lines, "expectation") if o["aspect"] == "congruence"]
+    assert cong and all(o["passed"] for o in cong)
+
+
+def test_suite_family_heart_221_graded(capsys) -> None:
+    # heart(2,2,1) solves to alpha_2, whose pattern holds; n = 2 leaves no
+    # strictly-middle congruence level
+    code, lines, _ = run(
+        capsys, ["suite", "--family", "heart:2,2,1", "--pmax", "47", "--expect"]
+    )
+    assert code == 0
+    assert records(lines, "solution")[0]["poly"]["coeffs"] == [
+        str(c) for c in alpha_poly(2).coeffs
+    ]
+    outs = records(lines, "expectation")
+    assert outs and all(o["passed"] for o in outs)
+    assert records(lines, "note")
+
+
+def test_suite_family_takes_every_suite_flag(capsys) -> None:
+    code, lines, _ = run(
+        capsys,
+        ["suite", "--family", "heart:3,2,1", "--pmax", "31", "--kmax", "1",
+         "--convergence"],
+    )
+    assert code == 0
+    levels = records(lines, "level")
+    assert [l["level"] for l in levels] == [0, 1]
+    assert all("convergence" in l for l in levels)
+
+
+def test_suite_scans_exactly_before_recurrence_onset(capsys) -> None:
+    # atypical's level-0 recurrence starts at exponent 43, past the exact
+    # limit; primes below it are read from the table instead
+    code, lines, _ = run(
+        capsys, ["--exact-limit", "30", "suite", "--name", "atypical", "--no-expect"]
+    )
+    assert code == 0
+    levels = records(lines, "level")
+    assert len(levels) == 6
+    assert levels[0]["recurrence"]["onset"] == 42
+    method = levels[0]["congruence"]["method"]
+    assert [method[p] for p in ("31", "37", "41")] == ["exact"] * 3
+    assert method["43"] == "recurrence_extended"
 
 
 def test_limits_solve(capsys) -> None:

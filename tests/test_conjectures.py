@@ -65,9 +65,7 @@ def test_congruence_scan_recurrence_extension() -> None:
     # starts [2, 3, 4, 7, ...] and satisfies the Lucas relation only from
     # its second entry, hence onset 1
     rec = Recurrence(order=2, coeffs=(1, 1), onset=1)
-    rep = congruence_scan(
-        GOLDEN, 0, 2, 97, exact_limit=30, recurrence=rec, recurrence_n_start=1
-    )
+    rep = congruence_scan(GOLDEN, 0, 2, 97, exact_limit=30, recurrence=rec)
     assert rep.branch.kind == "plus_one"
     assert rep.method[29] == "exact"
     assert rep.method[31] == "recurrence_extended"
@@ -86,6 +84,20 @@ def test_congruence_scan_column_matches_table(field) -> None:
         direct = congruence_scan(field, level, 2, 97)
         assert direct.residues == backed.residues
         assert direct.branch == backed.branch
+
+
+def test_congruence_scan_exact_before_recurrence_onset() -> None:
+    # the recurrence is not claimed before its onset (exponent 41 here), so
+    # primes there are evaluated exactly even past exact_limit
+    rec = Recurrence(order=2, coeffs=(1, 1), onset=40)
+    rep = congruence_scan(GOLDEN, 0, 2, 97, exact_limit=10, recurrence=rec)
+    assert {p for p in rep.primes if rep.method[p] == "exact"} == set(
+        primes_between(2, 37)
+    )
+    assert {p for p in rep.primes if rep.method[p] == "recurrence_extended"} == set(
+        primes_between(41, 97)
+    )
+    assert rep.residues == congruence_scan(GOLDEN, 0, 2, 97).residues
 
 
 def test_congruence_scan_needs_recurrence_beyond_limit() -> None:

@@ -15,7 +15,6 @@ from pisotlab.poly import (
     classify_pair,
     classify_symmetry,
     delta2_poly,
-    family_poly,
     plastic_poly,
     poly_from_terms,
     strip_unit_root,
@@ -168,23 +167,6 @@ def test_named_polys() -> None:
     assert plastic_poly().coeffs == (-1, -1, 0, 1)
 
 
-def test_family_poly_club() -> None:
-    # x^(n+1) - m x^n + 1
-    p = family_poly("club", 3, 4)
-    assert p == poly_from_terms([(5, 1), (4, -3), (0, 1)])
-
-
-def test_family_poly_heart_reduces_to_alpha() -> None:
-    for n in range(1, 6):
-        assert family_poly("heart", 2, n, 1) == alpha_poly(n)
-
-
-def test_family_poly_spade() -> None:
-    # x^(n+1) - m x^n - 1
-    p = family_poly("spade", 2, 3)
-    assert p == poly_from_terms([(4, 1), (3, -2), (0, -1)])
-
-
 def test_strip_unit_root_multiplicity() -> None:
     base = IntPolynomial.from_coeffs([-1, -1, 1])
     once = base * IntPolynomial.from_coeffs([-1, 1])
@@ -198,8 +180,8 @@ def test_strip_unit_root_multiplicity() -> None:
 
 
 def test_strip_unit_root_on_degenerate_club() -> None:
-    # m=2, n=1 collapses to (x-1)^2: nothing survives removal
-    p = family_poly("club", 2, 1)
+    # club m=2, n=1 is x^2 - 2x + 1 = (x-1)^2: nothing survives removal
+    p = IntPolynomial.from_coeffs([1, -2, 1])
     q, mult = strip_unit_root(p)
     assert mult == 2
     assert q == IntPolynomial.from_coeffs([1])

@@ -222,8 +222,9 @@ def test_modular_extend_respects_onset() -> None:
     r = Recurrence(order=2, coeffs=(1, 1), onset=4)
     with pytest.raises(IndexBelowOnset):
         modular_extend(r, [7, 11], 5, 2)
-    # explicit start overrides the onset
-    assert modular_extend(r, [2, 1], 5, 0, start_index=0) == 2
+    # the initial terms sit at the onset: u_4 = 7, u_5 = 11, u_6 = 18
+    assert modular_extend(r, [7, 11], 5, 4) == 2
+    assert modular_extend(r, [7, 11], 5, 6) == 3
 
 
 def test_modular_extend_validation() -> None:
