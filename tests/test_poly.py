@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pisotlab.errors import DegreeMismatch, InvalidParameters, NonExactDivision
+from pisotlab.limits import LogEquationSpec
 from pisotlab.poly import (
     IntPolynomial,
     PairRelation,
@@ -165,6 +166,23 @@ def test_alpha1_equals_beta1() -> None:
 def test_named_polys() -> None:
     assert delta2_poly().coeffs == (1, 0, -2, -1, 1)
     assert plastic_poly().coeffs == (-1, -1, 0, 1)
+
+
+def test_family_poly_club() -> None:
+    # x^(n+1) - m x^n + 1
+    p = LogEquationSpec("club", 3, 4).polynomial()
+    assert p == poly_from_terms([(5, 1), (4, -3), (0, 1)])
+
+
+def test_family_poly_heart_reduces_to_alpha() -> None:
+    for n in range(1, 6):
+        assert LogEquationSpec("heart", 2, n, 1).polynomial() == alpha_poly(n)
+
+
+def test_family_poly_spade() -> None:
+    # x^(n+1) - m x^n - 1
+    p = LogEquationSpec("spade", 2, 3).polynomial()
+    assert p == poly_from_terms([(4, 1), (3, -2), (0, -1)])
 
 
 def test_strip_unit_root_multiplicity() -> None:
