@@ -49,7 +49,11 @@ class PisotCertificate:
 def sign_at(p: IntPolynomial, q: Fraction | int) -> int:
     """Exact sign of p(q) for rational q, computed in integers."""
     q = Fraction(q)
-    num, den = q.numerator, q.denominator
+    return _sign_scaled(p, q.numerator, q.denominator)
+
+
+def _sign_scaled(p: IntPolynomial, num: int, den: int) -> int:
+    # sign of p(num/den) * den**deg for den > 0
     if p.is_zero:
         return 0
     acc = p.coeffs[-1]
@@ -66,7 +70,8 @@ def refine_root(p: IntPolynomial, iv: RatInterval, bits: int) -> RatInterval:
 
     Bisection uses midpoints snapped to a dyadic grid, so deep refinements
     keep power-of-two denominators.  The interval must bracket a sign change
-    (or be a point already).
+    (or be a point already).  Endpoints are kept as unreduced integer pairs
+    n/d, so no step reduces a fraction.
     """
     if iv.is_point:
         return iv
@@ -78,26 +83,26 @@ def refine_root(p: IntPolynomial, iv: RatInterval, bits: int) -> RatInterval:
         return RatInterval.point(hi)
     if s_lo == sign_at(p, hi):
         raise InvalidParameters("interval endpoints do not bracket a sign change")
-    target = Fraction(1, 1 << bits)
-    while hi - lo > target:
-        width = hi - lo
-        # grid fine enough that the snapped midpoint stays well inside
-        e = _grid_exponent(width)
-        m = Fraction(round((lo + hi) / 2 * (1 << e)), 1 << e)
-        s_m = sign_at(p, m)
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    while True:
+        den = ld * hd
+        num = hn * ld - ln * hd  # the width is num / den
+        if num << bits <= den:
+            return RatInterval(Fraction(ln, ld), Fraction(hn, hd))
+        # a grid 2**-e at least 64 times finer than the width, so the
+        # snapped midpoint stays well inside
+        e = ((den << 6) // num).bit_length() + 1
+        # midpoint * 2**e rounded half to even
+        m, r = divmod((ln * hd + hn * ld) << (e - 1), den)
+        if 2 * r > den or (2 * r == den and m % 2):
+            m += 1
+        s_m = _sign_scaled(p, m, 1 << e)
         if s_m == 0:
-            return RatInterval.point(m)
+            return RatInterval.point(Fraction(m, 1 << e))
         if s_m == s_lo:
-            lo = m
+            ln, ld = m, 1 << e
         else:
-            hi = m
-    return RatInterval(lo, hi)
-
-
-def _grid_exponent(width: Fraction) -> int:
-    # smallest e with 2**-e <= width / 64
-    ratio = 64 / width
-    return (ratio.numerator // ratio.denominator).bit_length() + 1
+            hn, hd = m, 1 << e
 
 
 def _eps_ladder():

@@ -235,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _resolve_poly(args) -> tuple[str, IntPolynomial]:
-    if getattr(args, "poly", None):
+    if getattr(args, "poly", None) is not None:
         return ("poly:%s" % args.poly, _parse_poly(args.poly))
     cat = catalog_mod.load_catalog(args.catalog)
     entry = cat.get(args.name)

@@ -8,10 +8,11 @@ roots strictly inside the unit circle, impossible with a nonzero constant
 term), coordinates are unique and an element is rational exactly when its
 higher coordinates vanish.
 
-The only approximate step anywhere is `eval_interval`, which returns an
-exact rational enclosure computed from a bisection-refined enclosure of
-theta; `nearest_integer` wraps it in an adaptive precision loop whose answer
-is certified, never guessed.
+The only approximate step anywhere is `eval_interval`, which returns a
+rational enclosure computed from a bisection-refined enclosure of theta by
+Horner's rule on integer mantissas, every product rounded outward;
+`nearest_integer` wraps it in an adaptive precision loop whose answer is
+certified, never guessed.
 """
 
 from __future__ import annotations
@@ -185,7 +186,11 @@ class NumberField:
         cached = self._power_cache.get(n)
         if cached is not None:
             return cached
-        start = max((k for k in self._power_cache if k < n), default=d - 1)
+        # the nearest cached power below n; every multiple of 8 up to the
+        # largest cached power is cached, so this is a short walk
+        start = n - 1
+        while start >= d and start not in self._power_cache:
+            start -= 1
         cur = self._power_cache.get(start) or self.theta_power(start)
         base = tuple(-self.min_poly.coeff(i) for i in range(d)) if d > 1 else ()
         for k in range(start + 1, n + 1):
@@ -212,18 +217,32 @@ class NumberField:
         return self._theta_iv
 
     def eval_interval(self, a: FieldElement, precision_bits: int) -> RatInterval:
-        """Exact rational enclosure of the real value of ``a`` computed from
-        a theta enclosure of width <= 2**-precision_bits."""
+        """Rational enclosure of the real value of ``a`` computed from a theta
+        enclosure of width <= 2**-precision_bits.
+
+        Horner runs on integer mantissas at scale 2**-s over the coordinates
+        cleared to one common denominator; every product is rounded outward,
+        so the result contains the exact interval Horner enclosure.
+        """
         if len(a.coords) != self.degree:
             raise InvalidParameters("element does not belong to this field")
         if a.is_rational:
             return RatInterval.point(Fraction(a.coords[0]) if a.coords else Fraction(0))
         tv = self.theta_enclosure(precision_bits)
-        acc = RatInterval.point(a.coords[-1])
-        for c in reversed(a.coords[:-1]):
-            acc = acc * tv
-            acc = acc.shift(c)
-        return acc
+        # s follows the cached enclosure, which may be far tighter than
+        # asked for; at this s its dyadic endpoints lie on the grid exactly
+        w = tv.width
+        s = max(precision_bits, w.denominator.bit_length() - w.numerator.bit_length()) + 8
+        t_lo = (tv.lo.numerator << s) // tv.lo.denominator
+        t_hi = -((-tv.hi.numerator << s) // tv.hi.denominator)
+        den = math.lcm(*(c.denominator for c in a.coords))
+        nums = [c.numerator * (den // c.denominator) for c in a.coords]
+        lo = hi = nums[-1] << s
+        for c in reversed(nums[:-1]):
+            # theta > 1, so t_lo > 0 and each bound's sign picks its endpoint
+            lo = ((lo * (t_lo if lo >= 0 else t_hi)) >> s) + (c << s)
+            hi = -((-hi * (t_hi if hi >= 0 else t_lo)) >> s) + (c << s)
+        return RatInterval(Fraction(lo, den << s), Fraction(hi, den << s))
 
     # -- certified rounding ---------------------------------------------------
 
@@ -251,8 +270,10 @@ class NumberField:
         bits = self._initial_bits(a)
         while bits <= CAP_BITS:
             e = self.eval_interval(a, bits)
-            z = math.floor(e.mid + Fraction(1, 2))
-            if e.lo > z - Fraction(1, 2) and e.hi < z + Fraction(1, 2):
+            # z = floor(mid + 1/2), decided in integers on the endpoints
+            (ln, ld), (hn, hd) = e.lo.as_integer_ratio(), e.hi.as_integer_ratio()
+            z = (ln * hd + hn * ld + ld * hd) // (2 * ld * hd)
+            if 2 * ln > (2 * z - 1) * ld and 2 * hn < (2 * z + 1) * hd:
                 return z, e, bits
             bits *= 2
         raise PrecisionExhausted(

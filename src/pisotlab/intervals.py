@@ -2,8 +2,11 @@
 
 Endpoints are Fractions, every operation rounds outward only in the sense of
 taking min/max over endpoint combinations, so enclosures are exact: the true
-value of an expression is always inside the computed interval.  Helpers at
-the bottom convert to directed-rounded mpmath floats and to outward decimal
+value of an expression is always inside the computed interval.  The hot
+enclosure of a field element (`NumberField.eval_interval`) does not use
+these operations: it works on integer mantissas, rounds each product
+outward to its grid, and builds one RatInterval at the end.  Helpers at the
+bottom convert to directed-rounded mpmath floats and to outward decimal
 strings for reporting.
 """
 
@@ -40,10 +43,6 @@ class RatInterval:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     @property
     def is_point(self) -> bool:

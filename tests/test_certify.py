@@ -3,7 +3,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pisotlab.catalog import load_catalog
 from pisotlab.certify import Verdict, certify_pisot, refine_root, sign_at
 from pisotlab.errors import InvalidParameters
 from pisotlab.intervals import RatInterval
@@ -29,6 +32,74 @@ def test_refine_root_golden_ratio() -> None:
     assert iv.width <= Fraction(1, 2**100)
     # (1+sqrt5)/2: check against the defining equation
     assert GOLDEN(iv.lo) < 0 < GOLDEN(iv.hi)
+
+
+def _fraction_bisection(p: IntPolynomial, iv: RatInterval, bits: int) -> RatInterval:
+    """The Fraction-arithmetic bisection refine_root replaced, kept as the
+    reference it must match interval for interval."""
+    if iv.is_point:
+        return iv
+    lo, hi = iv.lo, iv.hi
+    s_lo = sign_at(p, lo)
+    if s_lo == 0:
+        return RatInterval.point(lo)
+    if sign_at(p, hi) == 0:
+        return RatInterval.point(hi)
+    target = Fraction(1, 1 << bits)
+    while hi - lo > target:
+        ratio = 64 / (hi - lo)
+        e = (ratio.numerator // ratio.denominator).bit_length() + 1
+        m = Fraction(round((lo + hi) / 2 * (1 << e)), 1 << e)
+        s_m = sign_at(p, m)
+        if s_m == 0:
+            return RatInterval.point(m)
+        if s_m == s_lo:
+            lo = m
+        else:
+            hi = m
+    return RatInterval(lo, hi)
+
+
+@pytest.mark.parametrize("entry", list(load_catalog()), ids=lambda e: e.name)
+def test_refine_root_matches_fraction_bisection_on_catalog(entry) -> None:
+    start = certify_pisot(entry.poly).dominant_root
+    fast = slow = start
+    for bits in (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 3000):
+        fast = refine_root(entry.poly, fast, bits)
+        slow = _fraction_bisection(entry.poly, slow, bits)
+        assert fast == slow, bits
+    assert refine_root(entry.poly, start, 3000) == fast
+
+
+def test_refine_root_rounds_midpoint_ties_to_even() -> None:
+    # the first midpoint of [1 + 2^-8, 2], 769/512, lies halfway between two
+    # points of its 2^-8 grid
+    iv = RatInterval(1 + Fraction(1, 256), Fraction(2))
+    tight = refine_root(GOLDEN, iv, 60)
+    assert tight == _fraction_bisection(GOLDEN, iv, 60)
+    assert refine_root(GOLDEN, iv, 1) == RatInterval(Fraction(3, 2), Fraction(2))
+
+
+@st.composite
+def perron_polys(draw) -> IntPolynomial:
+    """x^d - A x^(d-1) + c_(d-2) x^(d-2) + ... + c_0 with c_0 != 0 and
+    A > 1 + sum |c_i|: Perron's criterion makes every one of them Pisot."""
+    d = draw(st.integers(2, 6))
+    lower = draw(st.lists(st.integers(-3, 3), min_size=d - 1, max_size=d - 1))
+    lower[0] = lower[0] or 1
+    a = 2 + sum(map(abs, lower)) + draw(st.integers(0, 3))
+    return IntPolynomial.from_coeffs(lower + [-a, 1])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(perron_polys(), st.integers(1, 1200), st.integers(0, 1200))
+def test_refine_root_matches_fraction_bisection_on_random_pisot(p, bits, more) -> None:
+    cert = certify_pisot(p)
+    assert cert.geometry_ok
+    fresh = refine_root(p, cert.dominant_root, bits)
+    assert fresh == _fraction_bisection(p, cert.dominant_root, bits)
+    chained = refine_root(p, fresh, bits + more)
+    assert chained == _fraction_bisection(p, fresh, bits + more)
 
 
 def test_refine_root_requires_sign_change() -> None:

@@ -71,6 +71,10 @@ def test_certify_unit_root_reported(capsys) -> None:
     assert cert["unit_root"] == "1"
 
 
+# inputs whose error message is checked, not only the exit code
+PARSE_ERROR_TEXT = {("certify", "--poly", ""): "error: empty coefficient list"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -88,12 +92,13 @@ def test_certify_unit_root_reported(capsys) -> None:
         ["suite", "--family", "heart:3,2"],
         ["suite", "--family", "heart:3,2,1,1"],
         ["suite", "--family", "club:3,2"],
+        ["certify", "--poly", ""],
     ],
 )
 def test_parse_errors_exit_2(capsys, argv) -> None:
     code, lines, err = run(capsys, argv)
     assert code == 2
-    assert "error:" in err
+    assert PARSE_ERROR_TEXT.get(tuple(argv), "error:") in err
 
 
 def test_missing_target_is_usage_error(capsys) -> None:

@@ -5,9 +5,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from pisotlab.catalog import load_catalog
 from pisotlab.errors import ExactHalfInteger, InvalidParameters
 from pisotlab.field import FieldElement, NumberField
+from pisotlab.intervals import RatInterval
 from pisotlab.poly import IntPolynomial
 
 GOLDEN = NumberField.from_poly([-1, -1, 1])
@@ -81,6 +85,31 @@ def test_eval_interval_against_mpmath() -> None:
     val = -3 + 7 * theta
     assert mpmath.mpf(iv.lo.numerator) / iv.lo.denominator <= val
     assert mpmath.mpf(iv.hi.numerator) / iv.hi.denominator >= val
+
+
+CATALOG_FIELDS = [NumberField.from_poly(e.poly) for e in load_catalog()]
+COORD = st.one_of(
+    st.integers(-(2**40), 2**40),
+    st.fractions(-(10**6), 10**6, max_denominator=1000),
+)
+
+
+# From 16 bits on, every catalog theta enclosure has dyadic endpoints (the
+# certificate's own endpoints are bisected away first), which the mantissa
+# grid holds exactly; the bound below rests on that.
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(CATALOG_FIELDS), st.lists(COORD, min_size=6, max_size=6),
+       st.integers(16, 1024))
+def test_eval_interval_contains_exact_horner(field, coords, bits) -> None:
+    a = field.element(coords[: field.degree])
+    assume(not a.is_rational)
+    tv = field.theta_enclosure(bits)
+    exact = RatInterval.point(a.coords[-1])
+    for c in reversed(a.coords[:-1]):
+        exact = (exact * tv).shift(c)
+    got = field.eval_interval(a, bits)
+    assert got.lo <= exact.lo and exact.hi <= got.hi
+    assert got.width - exact.width <= Fraction(1, 1 << bits)
 
 
 def test_nearest_integer_golden_powers() -> None:

@@ -29,7 +29,6 @@ def test_point_and_width() -> None:
     p = RatInterval.point(Fraction(3, 7))
     assert p.is_point
     assert p.width == 0
-    assert p.mid == Fraction(3, 7)
 
 
 def test_invalid_order_rejected() -> None:

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from pisotlab.catalog import load_catalog
 from pisotlab.errors import InvalidParameters, PisotLabError
-from pisotlab.field import NumberField
+from pisotlab.field import START_BITS, NumberField
 from pisotlab.poly import IntPolynomial, alpha_poly
 from pisotlab.transform import build_table, frac_magnitudes, iterate_column
 
@@ -109,6 +110,20 @@ def test_frac_magnitudes_orders_pairs() -> None:
     assert row.pair_order[0] == "eq"
     assert all(s == "gt" for s in row.pair_order[1:])
     assert row.incomparable_pairs() == []
+
+
+@pytest.mark.parametrize("entry", list(load_catalog()), ids=lambda e: e.name)
+def test_catalog_cells_certify_on_first_pass(entry) -> None:
+    # outward rounding of the enclosures must never cost a cell a doubling
+    field = NumberField.from_poly(entry.poly)
+    table = build_table(field, field.degree - 1, 1, 200)
+    assert not table.failures
+    for k in range(field.degree):
+        for cell in table.cells_at_level(k):
+            size = max(abs(c.numerator) for c in cell.element.coords).bit_length()
+            first = 0 if cell.element.is_rational else START_BITS + size
+            assert cell.bits == first, (k, cell.n)
+        assert frac_magnitudes(table, k).incomparable_pairs() == []
 
 
 def test_frac_magnitudes_exact_zero_ties() -> None:
