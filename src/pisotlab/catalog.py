@@ -123,35 +123,28 @@ def _parse_entry(raw: dict, source: str) -> CatalogEntry:
     return CatalogEntry(name, poly, raw.get("provenance", ""), expectations)
 
 
+# optional expectation keys and the converter of each present value; a
+# null recurrence_coeffs means none
+_EXPECTATION_KEYS = {
+    "congruence": int,
+    "max_onset_prime": int,
+    "constant": tuple,
+    "max_onset_index": int,
+    "recurrence_coeffs": lambda rec: None if rec is None else tuple(int(c) for c in rec),
+}
+
+
 def _parse_expectations(name: str, raw: dict, source: str) -> ExpectationSet:
     levels = []
     for item in raw.get("levels", []):
         try:
-            rec = item.get("recurrence_coeffs")
-            levels.append(
-                LevelExpectation(
-                    level=int(item["level"]),
-                    congruence=(
-                        int(item["congruence"]) if "congruence" in item else None
-                    ),
-                    max_onset_prime=(
-                        int(item["max_onset_prime"])
-                        if "max_onset_prime" in item
-                        else None
-                    ),
-                    constant=(
-                        tuple(item["constant"]) if "constant" in item else None
-                    ),
-                    max_onset_index=(
-                        int(item["max_onset_index"])
-                        if "max_onset_index" in item
-                        else None
-                    ),
-                    recurrence_coeffs=(
-                        tuple(int(c) for c in rec) if rec is not None else None
-                    ),
-                )
-            )
+            level = int(item["level"])
+            optional = {
+                key: convert(item[key])
+                for key, convert in _EXPECTATION_KEYS.items()
+                if key in item
+            }
+            levels.append(LevelExpectation(level, **optional))
         except (TypeError, KeyError, ValueError) as exc:
             raise CatalogError(
                 "catalog %s entry %r: bad expectation item %r (%s)"

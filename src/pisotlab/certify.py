@@ -33,11 +33,14 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class PisotCertificate:
-    verdict: Verdict
-    dominant_root: RatInterval | None
-    conjugate_moduli: tuple[RatInterval, ...]
-    conjugate_bound: Fraction | None
-    irreducibility_witness: int | None
+    """The defaults are those of a refutation, which records only what it
+    found."""
+
+    verdict: Verdict = Verdict.NOT_PISOT
+    dominant_root: RatInterval | None = None
+    conjugate_moduli: tuple[RatInterval, ...] = ()
+    conjugate_bound: Fraction | None = None
+    irreducibility_witness: int | None = None
     unit_root: int | None = None
     failure_reason: str | None = None
 
@@ -105,15 +108,10 @@ def refine_root(p: IntPolynomial, iv: RatInterval, bits: int) -> RatInterval:
             hn, hd = m, 1 << e
 
 
-def _eps_ladder():
-    """Isolation widths to try: coarse passes first, then geometrically
-    finer.  Terminates because circle-touching roots are excluded before the
-    ladder runs."""
-    yield None
-    e = 6
-    while e <= 4096:
-        yield 1 << e
-        e *= 2
+# Isolation widths 1/eps_den to try: sympy's default pass first, then
+# 2**-6, 2**-12, ..., 2**-3072.  Finite because circle-touching roots are
+# excluded before the ladder runs.
+_EPS_LADDER = (None,) + tuple(1 << (6 << i) for i in range(10))
 
 
 def certify_pisot(p: IntPolynomial) -> PisotCertificate:
@@ -135,28 +133,15 @@ def certify_pisot(p: IntPolynomial) -> PisotCertificate:
     for r in (1, -1):
         if p(r) == 0:
             return PisotCertificate(
-                verdict=Verdict.NOT_PISOT,
-                dominant_root=None,
-                conjugate_moduli=(),
-                conjugate_bound=None,
-                irreducibility_witness=None,
-                unit_root=r,
-                failure_reason=f"root at {r} lies on the unit circle",
+                unit_root=r, failure_reason=f"root at {r} lies on the unit circle"
             )
 
     # roots exactly on the unit circle can never be separated from it by
     # rectangle shrinking, so rule them out exactly first
     if _has_unit_circle_root(p):
-        return PisotCertificate(
-            verdict=Verdict.NOT_PISOT,
-            dominant_root=None,
-            conjugate_moduli=(),
-            conjugate_bound=None,
-            irreducibility_witness=None,
-            failure_reason="a conjugate lies exactly on the unit circle",
-        )
+        return PisotCertificate(failure_reason="a conjugate lies exactly on the unit circle")
 
-    for eps_den in _eps_ladder():
+    for eps_den in _EPS_LADDER:
         result = _classify_roots(p, eps_den)
         if result is not None:
             return _finish(p, *result)
@@ -237,12 +222,7 @@ def _classify_roots(p: IntPolynomial, eps_den: int | None):
 def _finish(p: IntPolynomial, dominant, moduli, reason) -> PisotCertificate:
     if reason is not None:
         return PisotCertificate(
-            verdict=Verdict.NOT_PISOT,
-            dominant_root=dominant,
-            conjugate_moduli=tuple(moduli),
-            conjugate_bound=None,
-            irreducibility_witness=None,
-            failure_reason=reason,
+            dominant_root=dominant, conjugate_moduli=tuple(moduli), failure_reason=reason
         )
     bound = max((m.hi for m in moduli), default=Fraction(0))
     witness = _irreducibility_witness(p)

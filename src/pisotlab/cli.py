@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import catalog as catalog_mod
@@ -52,13 +53,10 @@ from .report import (
     ReportWriter,
     certificate_payload,
     congruence_payload,
-    constant_payload,
-    convergence_payload,
     enc_fraction,
     enc_int,
     enc_interval,
     enc_poly,
-    outcomes_payload,
 )
 from .transform import build_table
 
@@ -68,6 +66,15 @@ EXIT_NOT_PISOT = 3
 EXIT_ROUNDING = 4
 EXIT_EXPECTATION = 5
 EXIT_RESIDUAL = 6
+
+# first match wins, as in an except chain
+_EXIT_CODES = (
+    ((InvalidParameters, CatalogError), EXIT_PARSE),
+    (NotPisot, EXIT_NOT_PISOT),
+    ((ExactHalfInteger, PrecisionExhausted), EXIT_ROUNDING),
+    ((ResidualTooLarge, NoRootInInterval), EXIT_RESIDUAL),
+    (PisotLabError, EXIT_PARSE),
+)
 
 
 def _parse_tol(text: str | Fraction) -> Fraction:
@@ -217,21 +224,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.tol = _parse_tol(args.tol)
         return handler(args, sys.stdout)
-    except (InvalidParameters, CatalogError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-    except NotPisot as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_NOT_PISOT
-    except (ExactHalfInteger, PrecisionExhausted) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ROUNDING
-    except (ResidualTooLarge, NoRootInInterval) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_RESIDUAL
     except PisotLabError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 def _resolve_poly(args) -> tuple[str, IntPolynomial]:
@@ -325,14 +320,7 @@ def cmd_suite(args, out) -> int:
     )
     if isinstance(target, LogEquationSpec):
         sol = solve_log_equation(target, args.tol)
-        writer.record(
-            "solution",
-            {
-                "poly": enc_poly(sol.poly),
-                "root": enc_interval(sol.root, sol.residual_bits),
-                "residual_hi": enc_fraction(sol.residual.hi),
-            },
-        )
+        writer.record("solution", _solution_payload(sol))
         field = NumberField(sol.poly, sol.certificate)
     else:
         field = NumberField.from_poly(target)
@@ -354,6 +342,15 @@ def cmd_suite(args, out) -> int:
         return EXIT_EXPECTATION
     writer.close()
     return EXIT_OK
+
+
+def _solution_payload(sol, **extra) -> dict:
+    return {
+        "poly": enc_poly(sol.poly),
+        "root": enc_interval(sol.root, sol.residual_bits),
+        "residual_hi": enc_fraction(sol.residual.hi),
+        **extra,
+    }
 
 
 def _emit_suite(writer: ReportWriter, suite, *, graded: bool) -> None:
@@ -378,9 +375,9 @@ def _emit_suite(writer: ReportWriter, suite, *, graded: bool) -> None:
         elif rep.congruence_error:
             payload["congruence_error"] = rep.congruence_error
         if rep.constant is not None:
-            payload["constant"] = constant_payload(rep.constant)
+            payload["constant"] = asdict(rep.constant)
         if rep.convergence is not None:
-            payload["convergence"] = convergence_payload(rep.convergence)
+            payload["convergence"] = asdict(rep.convergence)
         elif rep.convergence_error:
             payload["convergence_error"] = rep.convergence_error
         writer.record("level", payload)
@@ -390,8 +387,8 @@ def _emit_suite(writer: ReportWriter, suite, *, graded: bool) -> None:
             {"level_a": pa.level_a, "level_b": pa.level_b, "relation": pa.relation.value},
         )
     if graded:
-        for o in outcomes_payload(suite.outcomes):
-            writer.record("expectation", o)
+        for o in suite.outcomes:
+            writer.record("expectation", asdict(o))
 
 
 def cmd_limits(args, out) -> int:
@@ -401,13 +398,11 @@ def cmd_limits(args, out) -> int:
         sol = solve_log_equation(spec, args.tol)
         writer.record(
             "solution",
-            {
-                "poly": enc_poly(sol.poly),
-                "unit_root_multiplicity": sol.unit_root_multiplicity,
-                "root": enc_interval(sol.root, sol.residual_bits),
-                "residual_hi": enc_fraction(sol.residual.hi),
-                "certificate": certificate_payload(sol.certificate),
-            },
+            _solution_payload(
+                sol,
+                unit_root_multiplicity=sol.unit_root_multiplicity,
+                certificate=certificate_payload(sol.certificate),
+            ),
         )
         writer.close()
         return EXIT_OK

@@ -124,26 +124,24 @@ class CongruenceReport:
         return any(m == METHOD_RECURRENCE for m in self.method.values())
 
 
-def _classify_branch(primes: Sequence[int], centered: Mapping[int, int]) -> BranchVerdict:
-    if not primes:
-        return BranchVerdict("mixed")
-    # Longest suffix of the prime list sharing one centered value.
-    tail_value = centered[primes[-1]]
-    start = len(primes) - 1
-    while start > 0 and centered[primes[start - 1]] == tail_value:
+def _constant_suffix(values: Sequence) -> int:
+    """Index where the longest run of equal values at the end of ``values``
+    starts (0 when empty)."""
+    start = len(values)
+    while start > 0 and values[start - 1] == values[-1]:
         start -= 1
-    run = len(primes) - start
-    if run < MIN_BRANCH_RUN:
+    return start
+
+
+_BRANCH_KINDS = {0: "zero", 1: "plus_one", -1: "minus_one"}
+
+
+def _classify_branch(primes: Sequence[int], centered: Mapping[int, int]) -> BranchVerdict:
+    values = [centered[p] for p in primes]
+    start = _constant_suffix(values)
+    if len(values) - start < MIN_BRANCH_RUN:
         return BranchVerdict("mixed")
-    if tail_value == 0:
-        kind = "zero"
-    elif tail_value == 1:
-        kind = "plus_one"
-    elif tail_value == -1:
-        kind = "minus_one"
-    else:
-        kind = "other"
-    return BranchVerdict(kind, tail_value, primes[start])
+    return BranchVerdict(_BRANCH_KINDS.get(values[-1], "other"), values[-1], primes[start])
 
 
 def congruence_scan(
@@ -238,50 +236,30 @@ class ConstantVerdict:
     exact: bool = False
 
 
-_TAIL_PATTERNS = {
-    "plus_one": lambda n: 1,
-    "minus_one": lambda n: -1,
-    "alt_odd_plus": lambda n: 1 if n % 2 else -1,
-    "alt_odd_minus": lambda n: -1 if n % 2 else 1,
-}
-
-
 def constant_detect(table: IterateTable, level: int) -> ConstantVerdict:
     """Classify the tail of row ``level`` as constant/alternating ±1.
 
     The pattern must hold from its onset to the end of the contiguous row,
-    for at least MIN_CONSTANT_RUN terms.  Constants win ties against
-    alternators (a run of equal values matches an alternator only for run
-    length 1).
+    for at least MIN_CONSTANT_RUN terms.  One tail scan reads both shapes:
+    a constant ±1 tail of u_n, or a constant ±1 tail of (-1)^(n+1) u_n,
+    which is an alternation of u_n.  A run of two or more terms cannot be
+    constant in both readings, so at most one qualifies.
     """
     n_lo, values = table.u_sequence(level)
-    if not values:
-        return ConstantVerdict("none")
-    n_end = n_lo + len(values) - 1
-
-    best_kind = "none"
-    best_onset: int | None = None
-    for kind in ("plus_one", "minus_one", "alt_odd_plus", "alt_odd_minus"):
-        pattern = _TAIL_PATTERNS[kind]
-        onset: int | None = None
-        # walk backwards collecting the longest matching suffix
-        for n in range(n_end, n_lo - 1, -1):
-            if values[n - n_lo] == pattern(n):
-                onset = n
-            else:
-                break
-        if onset is None:
-            continue
-        run = n_end - onset + 1
-        if run < MIN_CONSTANT_RUN:
-            continue
-        if best_onset is None or onset < best_onset:
-            best_kind, best_onset = kind, onset
-    if best_onset is None:
-        return ConstantVerdict("none")
-    run = n_end - best_onset + 1
-    exact = all(table.cell(level, n).exact_zero for n in range(best_onset, n_end + 1))
-    return ConstantVerdict(best_kind, best_onset, run, exact)
+    alternated = [v if (n_lo + i) % 2 else -v for i, v in enumerate(values)]
+    for row, kinds in (
+        (values, {1: "plus_one", -1: "minus_one"}),
+        (alternated, {1: "alt_odd_plus", -1: "alt_odd_minus"}),
+    ):
+        start = _constant_suffix(row)
+        run = len(row) - start
+        if run >= MIN_CONSTANT_RUN and row[-1] in kinds:
+            onset = n_lo + start
+            exact = all(
+                table.cell(level, n).exact_zero for n in range(onset, onset + run)
+            )
+            return ConstantVerdict(kinds[row[-1]], onset, run, exact)
+    return ConstantVerdict("none")
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +548,12 @@ def run_suite(
                 rep.recurrence_error = str(exc)
         else:
             rep.recurrence_error = "row too short for detection"
-        if rep.recurrence is not None and rep.recurrence.is_integral:
-            rep.characteristic = characteristic_of(rep.recurrence)
+        integral = rep.recurrence if rep.recurrence and rep.recurrence.is_integral else None
+        if integral is not None:
+            rep.characteristic = characteristic_of(integral)
             rep.symmetry = classify_symmetry(rep.characteristic)
 
         try:
-            rec = rep.recurrence if (rep.recurrence and rep.recurrence.is_integral) else None
             rep.congruence = congruence_scan(
                 field,
                 k,
@@ -583,7 +561,7 @@ def run_suite(
                 p_hi,
                 exact_limit=exact_limit,
                 table=table,
-                recurrence=rec,
+                recurrence=integral,
             )
         except (RecurrenceUnavailable, ExactHalfInteger, PrecisionExhausted) as exc:
             rep.congruence_error = "%s: %s" % (type(exc).__name__, exc)

@@ -192,17 +192,13 @@ class NumberField:
         while start >= d and start not in self._power_cache:
             start -= 1
         cur = self._power_cache.get(start) or self.theta_power(start)
-        base = tuple(-self.min_poly.coeff(i) for i in range(d)) if d > 1 else ()
+        base = tuple(-self.min_poly.coeff(i) for i in range(d))
         for k in range(start + 1, n + 1):
+            # theta * theta^(k-1): shift up, fold the top coordinate back in
+            # (for d = 1 nothing is shifted)
             prev = cur.coords
-            if d == 1:
-                cur = FieldElement((prev[0] * -self.min_poly.coeff(0),))
-            else:
-                over = prev[-1]
-                shifted = (0,) + prev[:-1]
-                cur = FieldElement(
-                    tuple(s + over * b for s, b in zip(shifted, base))
-                )
+            over, shifted = prev[-1], (0,) + prev[:-1]
+            cur = FieldElement(tuple(s + over * b for s, b in zip(shifted, base)))
             if k % 8 == 0 or k == n:
                 self._power_cache[k] = cur
         return cur

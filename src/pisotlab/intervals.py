@@ -69,11 +69,6 @@ class RatInterval:
         )
         return RatInterval(min(ps), max(ps))
 
-    def scale(self, c: Rat) -> "RatInterval":
-        if c >= 0:
-            return RatInterval(self.lo * c, self.hi * c)
-        return RatInterval(self.hi * c, self.lo * c)
-
     def shift(self, c: Rat) -> "RatInterval":
         return RatInterval(self.lo + c, self.hi + c)
 

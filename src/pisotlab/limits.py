@@ -161,8 +161,7 @@ def solve_log_equation(
     bits = DEFAULT_SOLVE_BITS
     while True:
         root = refine_root(reduced, root, bits + 8)
-        ratio = _log_ratio(bits, root, _family_log_terms(spec, root))
-        residual = ratio.shift(-Fraction(spec.n)).abs_()
+        residual = _residual(spec, root, bits)
         if residual.hi < tol:
             return LimitPointSolution(spec, reduced, mult, root, cert, residual, bits)
         if residual.lo > tol:
@@ -181,19 +180,16 @@ def solve_log_equation(
             )
 
 
-def _family_log_terms(
-    spec: LogEquationSpec, root: RatInterval
-) -> list[tuple[int, RatInterval]]:
-    """The signed log arguments of the original equation's LHS numerator."""
+def _residual(spec: LogEquationSpec, root: RatInterval, prec: int) -> RatInterval:
+    """Certified |LHS - n| of the original logarithmic equation at ``root``."""
     m = spec.m
-    if spec.family == "club":
-        return [(-1, RatInterval.point(m) - root)]  # -ln(m - x)
-    if spec.family == "heart":
-        return [
-            (-1, RatInterval.point(m) - root),
-            (+1, root.shift(Fraction(spec.l - m))),  # +ln(x - m + l)
-        ]
-    return [(-1, root.shift(Fraction(-m)))]  # spade: -ln(x - m)
+    if spec.family == "spade":
+        terms = [(-1, root.shift(Fraction(-m)))]  # -ln(x - m)
+    else:
+        terms = [(-1, RatInterval.point(m) - root)]  # -ln(m - x)
+        if spec.family == "heart":
+            terms.append((+1, root.shift(Fraction(spec.l - m))))  # +ln(x - m + l)
+    return _log_ratio(prec, root, terms).shift(-Fraction(spec.n)).abs_()
 
 
 def _log_ratio(
@@ -229,8 +225,10 @@ IDENTITY_KINDS = ("I", "II", "alpha2_pair", "alpha3_extra", "delta_prime")
 def verify_identity(kind: str, n: int | None = None, precision_bits: int = 256) -> RatInterval:
     """Certified residual enclosure for one of the closed-form log identities.
 
-    * ``I``    (needs n):  -ln(2 - beta_n)/ln(beta_n) = n + 1
-    * ``II``   (needs n):  (-ln(2 - alpha_n) + ln(alpha_n - 1))/ln(alpha_n) = n
+    * ``I``    (needs n):  -ln(2 - beta_n)/ln(beta_n) = n + 1, the club(2, n+1)
+                           equation at beta_n
+    * ``II``   (needs n):  (-ln(2 - alpha_n) + ln(alpha_n - 1))/ln(alpha_n) = n,
+                           the heart(2, n, 1) equation at alpha_n
     * ``alpha2_pair``:     -ln(2 - alpha_2)/ln(alpha_2) = 5/2  and
                            -ln(alpha_2 - 1)/ln(alpha_2) = 1/2  (max of both residuals)
     * ``alpha3_extra``:    (-ln(2 - alpha_3) + ln(alpha_3 - alpha_1))/ln(alpha_3) = 1
@@ -252,14 +250,12 @@ def verify_identity(kind: str, n: int | None = None, precision_bits: int = 256) 
         r2 = _log_ratio(prec, x, [(-1, x.shift(Fraction(-1)))]).shift(Fraction(-1, 2)).abs_()
         return RatInterval(max(r1.lo, r2.lo), max(r1.hi, r2.hi))
     if kind == "I":
-        x = _unit_window_root(beta_poly(n), prec)
-        terms = [(-1, _two_minus(x))]
-        claim = Fraction(n + 1)
-    elif kind == "II":
-        x = _unit_window_root(alpha_poly(n), prec)
-        terms = [(-1, _two_minus(x)), (+1, x.shift(Fraction(-1)))]
-        claim = Fraction(n)
-    elif kind == "alpha3_extra":
+        spec, x = LogEquationSpec("club", 2, n + 1), _unit_window_root(beta_poly(n), prec)
+        return _residual(spec, x, prec)
+    if kind == "II":
+        spec, x = LogEquationSpec("heart", 2, n, 1), _unit_window_root(alpha_poly(n), prec)
+        return _residual(spec, x, prec)
+    if kind == "alpha3_extra":
         x = _unit_window_root(alpha_poly(3), prec)
         x1 = _unit_window_root(alpha_poly(1), prec)
         terms = [(-1, _two_minus(x)), (+1, x - x1)]
@@ -325,8 +321,6 @@ def ordering_check(count: int, precision_bits: int = 128) -> OrderingReport:
     if precision_bits < 1:
         raise InvalidParameters("precision must be at least 1 bit")
     merged = alpha_poly(1) == beta_poly(1)
-    if not merged:  # pragma: no cover - algebra guarantees equality
-        raise InvalidParameters("expected alpha_1 and beta_1 to share a polynomial")
 
     chain: list[tuple[str, IntPolynomial]] = [("alpha_1=beta_1", alpha_poly(1))]
     for i in range(2, count + 1):

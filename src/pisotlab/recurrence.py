@@ -146,10 +146,7 @@ class PredictedRecurrence:
         return len(self.coeffs)
 
     def characteristic(self) -> IntPolynomial:
-        terms = [(self.order, 1)] + [
-            (self.order - k, -c) for k, c in enumerate(self.coeffs, start=1)
-        ]
-        return poly_from_terms(terms)
+        return characteristic_of(Recurrence(self.order, self.coeffs, 0))
 
 
 VARIANTS = (
@@ -169,6 +166,15 @@ def _is_recognized_limit_point(p: IntPolynomial) -> bool:
     return p == delta2_poly()
 
 
+def _parity_rule(p: IntPolynomial) -> tuple[int, ...]:
+    """b_j = a_j for j = 1..d, with the signs of odd j flipped when the
+    degree d is even."""
+    d = p.degree
+    return tuple(
+        -p.coeff(j) if d % 2 == 0 and j % 2 else p.coeff(j) for j in range(1, d + 1)
+    )
+
+
 def predicted_recurrence(min_poly: IntPolynomial, variant: str) -> PredictedRecurrence:
     """Recurrence coefficients a conjecture family predicts for the iterate
     sequences of the Pisot number with this minimal polynomial.
@@ -177,19 +183,27 @@ def predicted_recurrence(min_poly: IntPolynomial, variant: str) -> PredictedRecu
       zero_iterate         level 0,   b_i = -a_{d-i} (the companion relation)
       top_iterate_1deg     level d-2, b_j = +-a_j with the parity sign rule;
                            inapplicable to the plastic number and recognized
-                           limit-point polynomials
+                           limit-point polynomials.  Row d-2 satisfies the
+                           recurrence of (-1)^d x^d p(N/x)/N, N = (-1)^d a_0,
+                           which is this rule exactly when a_0 = -1; for any
+                           other a_0 the prediction is wrong
       alpha_form           level d-2 for alpha_poly(d-1), coefficients as
                            stated: lag 1 -> (-1)^n, lag n -> (-2)^(n+1),
                            lag n+1 -> +1  (n = d-1)
       alpha_form_adjusted  same lags, but lag n -> 2*(-1)^(n+1); the reading
                            consistent with the general parity sign rule
       beta_odd / beta_even level d-2 for beta_poly(d-1) with odd / even d-1
+
+    alpha_poly and beta_poly have a_0 = -1, and on them the adjusted alpha
+    form and both beta forms are exactly the parity sign rule, which is how
+    all four are computed once their applicability is checked.
     """
     if variant not in VARIANTS:
         raise InvalidParameters(f"unknown variant {variant!r}")
     if not min_poly.is_monic:
         raise InvalidParameters("minimal polynomial must be monic")
     d = min_poly.degree
+    n = d - 1
 
     if variant == "zero_iterate":
         if d < 1:
@@ -199,7 +213,6 @@ def predicted_recurrence(min_poly: IntPolynomial, variant: str) -> PredictedRecu
             level=0,
             coeffs=tuple(-min_poly.coeff(d - i) for i in range(1, d + 1)),
         )
-
     if variant == "top_iterate_1deg":
         if d < 3:
             raise VariantInapplicable("top_iterate_1deg needs degree >= 3")
@@ -209,46 +222,28 @@ def predicted_recurrence(min_poly: IntPolynomial, variant: str) -> PredictedRecu
             raise VariantInapplicable(
                 "limit-point polynomial; use the alpha/beta variants"
             )
-        if d % 2 == 1:
-            coeffs = tuple(min_poly.coeff(j) for j in range(1, d + 1))
-        else:
-            coeffs = tuple(
-                min_poly.coeff(j) if j % 2 == 0 else -min_poly.coeff(j)
-                for j in range(1, d + 1)
-            )
-        return PredictedRecurrence(variant=variant, level=d - 2, coeffs=coeffs)
-
-    n = d - 1
-    if variant in ("alpha_form", "alpha_form_adjusted"):
+    elif variant in ("alpha_form", "alpha_form_adjusted"):
         if n < 2 or min_poly != alpha_poly(n):
             raise VariantInapplicable(
                 "alpha_form applies to alpha_poly(n) with n >= 2"
             )
-        mid = (-2) ** (n + 1) if variant == "alpha_form" else 2 * (-1) ** (n + 1)
-        terms = {1: (-1) ** n, n: mid, n + 1: 1}
-        return PredictedRecurrence(
-            variant=variant,
-            level=n - 1,
-            coeffs=tuple(terms.get(i, 0) for i in range(1, n + 2)),
-        )
-
-    if variant == "beta_odd":
+        if variant == "alpha_form":
+            terms = {1: (-1) ** n, n: (-2) ** (n + 1), n + 1: 1}
+            return PredictedRecurrence(
+                variant=variant,
+                level=n - 1,
+                coeffs=tuple(terms.get(i, 0) for i in range(1, n + 2)),
+            )
+    elif variant == "beta_odd":
         if n < 3 or n % 2 == 0 or min_poly != beta_poly(n):
             raise VariantInapplicable(
                 "beta_odd applies to beta_poly(n) with odd n >= 3"
             )
-        coeffs = tuple(
-            1 if i % 2 == 1 else -1 for i in range(1, n + 1)
-        ) + (1,)
-        return PredictedRecurrence(variant=variant, level=n - 1, coeffs=coeffs)
-
-    # beta_even
-    if n < 2 or n % 2 == 1 or min_poly != beta_poly(n):
+    elif n < 2 or n % 2 == 1 or min_poly != beta_poly(n):
         raise VariantInapplicable(
             "beta_even applies to beta_poly(n) with even n >= 2"
         )
-    coeffs = (-1,) * n + (1,)
-    return PredictedRecurrence(variant="beta_even", level=n - 1, coeffs=coeffs)
+    return PredictedRecurrence(variant=variant, level=d - 2, coeffs=_parity_rule(min_poly))
 
 
 # -- comparison ----------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import IO, Iterable
+from typing import IO
 
 from .intervals import RatInterval, decimal_lower, decimal_upper
 from .poly import IntPolynomial
@@ -110,28 +110,6 @@ def congruence_payload(report) -> dict:
     }
 
 
-def constant_payload(verdict) -> dict:
-    return {
-        "kind": verdict.kind,
-        "onset": verdict.onset,
-        "run_length": verdict.run_length,
-        "exact": verdict.exact,
-    }
-
-
-def convergence_payload(report) -> dict:
-    return {
-        "level": report.level,
-        "n_lo": report.n_lo,
-        "n_hi": report.n_hi,
-        "onset": report.onset,
-        "zero_tail_from": report.zero_tail_from,
-        "violations": [
-            {"n": v.n, "kind": v.kind} for v in report.violations
-        ],
-    }
-
-
 def certificate_payload(cert) -> dict:
     out = {
         "verdict": cert.verdict.value,
@@ -149,15 +127,3 @@ def certificate_payload(cert) -> dict:
         out["failure_reason"] = cert.failure_reason
     return out
 
-
-def outcomes_payload(outcomes: Iterable) -> list[dict]:
-    return [
-        {
-            "level": o.level,
-            "aspect": o.aspect,
-            "passed": o.passed,
-            "expected": o.expected,
-            "observed": o.observed,
-        }
-        for o in outcomes
-    ]

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from pisotlab.catalog import DEFAULT_NAMES, load_catalog
+from pisotlab.conjectures import LevelExpectation
 from pisotlab.errors import CatalogError
 from pisotlab.poly import IntPolynomial, delta2_poly, plastic_poly
 
@@ -143,3 +144,59 @@ def test_bad_expectation_item(tmp_path) -> None:
     path.write_text(json.dumps(doc))
     with pytest.raises(CatalogError, match="bad expectation"):
         load_catalog(path)
+
+
+def _catalog_with_items(tmp_path, items):
+    doc = {
+        "schema_version": 1,
+        "entries": [
+            {
+                "name": "x",
+                "coeffs": ["-1", "-1", "1"],
+                "expected_patterns": {"levels": items},
+            }
+        ],
+    }
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_expectation_items_convert_every_key(tmp_path) -> None:
+    items = [
+        {"level": "0", "congruence": "1", "max_onset_prime": 11, "recurrence_coeffs": None},
+        {
+            "level": 1,
+            "constant": ["alt_odd_plus"],
+            "max_onset_index": "9",
+            "recurrence_coeffs": ["1", -2],
+        },
+        {"level": 2},
+    ]
+    cat = load_catalog(_catalog_with_items(tmp_path, items))
+    assert cat.get("x").expectations.levels == (
+        LevelExpectation(0, congruence=1, max_onset_prime=11),
+        LevelExpectation(
+            1, constant=("alt_odd_plus",), max_onset_index=9, recurrence_coeffs=(1, -2)
+        ),
+        LevelExpectation(2),
+    )
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ({"level": "a", "congruence": "x"}, "invalid literal for int"),
+        ({"level": 0, "congruence": None}, "int()"),
+        ({"level": 0, "max_onset_index": "q"}, "invalid literal for int"),
+        ({"level": 0, "recurrence_coeffs": 5}, "not iterable"),
+        ({"level": 0, "constant": 3}, "not iterable"),
+        # an item that is not an object is rejected like any other
+        ("oops", "string indices"),
+        (7, "not subscriptable"),
+    ],
+)
+def test_malformed_expectation_items(tmp_path, item, message) -> None:
+    with pytest.raises(CatalogError, match="bad expectation item") as info:
+        load_catalog(_catalog_with_items(tmp_path, [item]))
+    assert message in str(info.value)

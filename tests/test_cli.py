@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+import pisotlab.cli
 import pisotlab.field
+from pisotlab import errors
 from pisotlab.cli import build_parser, main
 from pisotlab.poly import alpha_poly
 
@@ -344,3 +346,27 @@ def test_cheap_golden_commands_present() -> None:
 def test_output_matches_golden(capsys, argv, code, stdout) -> None:
     assert main(list(argv)) == code
     assert capsys.readouterr().out == stdout
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (errors.InvalidParameters("x"), 2),
+        (errors.NotMonic("x"), 2),
+        (errors.CatalogError("x"), 2),
+        (errors.NotPisot("x"), 3),
+        (errors.ExactHalfInteger("x"), 4),
+        (errors.PrecisionExhausted("x"), 4),
+        (errors.IncomparableAdjacent("x"), 4),
+        (errors.ResidualTooLarge("x"), 6),
+        (errors.NoRootInInterval("x"), 6),
+        (errors.NoRecurrenceFound("x"), 2),
+    ],
+)
+def test_error_exit_codes(monkeypatch, capsys, exc, code) -> None:
+    def fail(args, out):
+        raise exc
+
+    monkeypatch.setattr(pisotlab.cli, "cmd_certify", fail)
+    assert main(["certify", "--name", "golden"]) == code
+    assert capsys.readouterr().err == "error: x\n"

@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pisotlab.conjectures import (
+    MIN_BRANCH_RUN,
+    MIN_CONSTANT_RUN,
     BranchVerdict,
+    ConstantVerdict,
+    _classify_branch,
     alpha_expectations,
     beta_expectations,
     centered_residue,
@@ -265,3 +273,102 @@ def test_alpha2_suite_middle_level_zero_branch() -> None:
     lvl1 = suite.level_report(1)
     assert lvl1.congruence is not None
     assert lvl1.congruence.branch.kind == "minus_one"
+
+
+# -- the tail scans against the per-pattern code they replaced ----------------
+
+
+def _reference_branch(primes, centered) -> BranchVerdict:
+    if not primes:
+        return BranchVerdict("mixed")
+    tail_value = centered[primes[-1]]
+    start = len(primes) - 1
+    while start > 0 and centered[primes[start - 1]] == tail_value:
+        start -= 1
+    if len(primes) - start < MIN_BRANCH_RUN:
+        return BranchVerdict("mixed")
+    if tail_value == 0:
+        kind = "zero"
+    elif tail_value == 1:
+        kind = "plus_one"
+    elif tail_value == -1:
+        kind = "minus_one"
+    else:
+        kind = "other"
+    return BranchVerdict(kind, tail_value, primes[start])
+
+
+_REFERENCE_PATTERNS = {
+    "plus_one": lambda n: 1,
+    "minus_one": lambda n: -1,
+    "alt_odd_plus": lambda n: 1 if n % 2 else -1,
+    "alt_odd_minus": lambda n: -1 if n % 2 else 1,
+}
+
+
+def _reference_constant(table, level: int) -> ConstantVerdict:
+    n_lo, values = table.u_sequence(level)
+    if not values:
+        return ConstantVerdict("none")
+    n_end = n_lo + len(values) - 1
+    best_kind, best_onset = "none", None
+    for kind, pattern in _REFERENCE_PATTERNS.items():
+        onset = None
+        for n in range(n_end, n_lo - 1, -1):
+            if values[n - n_lo] == pattern(n):
+                onset = n
+            else:
+                break
+        if onset is None or n_end - onset + 1 < MIN_CONSTANT_RUN:
+            continue
+        if best_onset is None or onset < best_onset:
+            best_kind, best_onset = kind, onset
+    if best_onset is None:
+        return ConstantVerdict("none")
+    exact = all(table.cell(level, n).exact_zero for n in range(best_onset, n_end + 1))
+    return ConstantVerdict(best_kind, best_onset, n_end - best_onset + 1, exact)
+
+
+class _RowTable:
+    """The two table methods the tail scans read, over one given row."""
+
+    def __init__(self, n_lo: int, values: list[int], exact: list[bool]):
+        self.n_lo, self.values, self.exact = n_lo, values, exact
+
+    def u_sequence(self, level: int):
+        return self.n_lo, list(self.values)
+
+    def cell(self, level: int, n: int):
+        return SimpleNamespace(exact_zero=self.exact[n - self.n_lo])
+
+
+@st.composite
+def _rows(draw):
+    """Rows over -2..2 of length 0..12, often ending in a constant or
+    alternating run so that every verdict kind is drawn, with exact-zero
+    flags that are often all true at the end."""
+    row = draw(st.lists(st.integers(-2, 2), max_size=12))
+    value = draw(st.integers(-2, 2))
+    flip = draw(st.booleans())
+    row += [value * (-1) ** i if flip else value for i in range(draw(st.integers(0, 12)))]
+    row = row[-12:]
+    exact = draw(st.lists(st.booleans(), min_size=len(row), max_size=len(row)))
+    exact_tail = draw(st.integers(0, 12))
+    exact = exact[: max(0, len(row) - exact_tail)] + [True] * min(len(row), exact_tail)
+    return draw(st.integers(1, 6)), row, exact
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_rows())
+def test_constant_detect_matches_reference(drawn) -> None:
+    table = _RowTable(*drawn)
+    assert constant_detect(table, 0) == _reference_constant(table, 0)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_rows())
+def test_classify_branch_matches_reference(drawn) -> None:
+    _, row, _ = drawn
+    primes = tuple(primes_between(2, 40))[: len(row)]
+    centered = dict(zip(primes, row))
+    assert _classify_branch(primes, centered) == _reference_branch(primes, centered)

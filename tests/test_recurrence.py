@@ -9,10 +9,20 @@ from pisotlab.errors import (
     IndexBelowOnset,
     InvalidParameters,
     NoRecurrenceFound,
+    PisotLabError,
     VariantInapplicable,
 )
-from pisotlab.poly import IntPolynomial, alpha_poly, beta_poly, delta2_poly, plastic_poly
+from pisotlab.field import NumberField
+from pisotlab.poly import (
+    IntPolynomial,
+    alpha_poly,
+    beta_poly,
+    delta2_poly,
+    plastic_poly,
+    poly_from_terms,
+)
 from pisotlab.recurrence import (
+    VARIANTS,
     PredictedRecurrence,
     Recurrence,
     characteristic_of,
@@ -21,6 +31,7 @@ from pisotlab.recurrence import (
     modular_extend,
     predicted_recurrence,
 )
+from pisotlab.transform import build_table
 
 LUCAS = [2, 1, 3, 4, 7, 11, 18, 29, 47, 76, 123, 199, 322, 521, 843, 1364]
 PERRIN = [3, 0, 2, 3, 2, 5, 5, 7, 10, 12, 17, 22, 29, 39, 51, 68, 90, 119]
@@ -161,6 +172,123 @@ def test_beta_variant_shapes() -> None:
         predicted_recurrence(beta_poly(2), "beta_odd")
     with pytest.raises(VariantInapplicable):
         predicted_recurrence(beta_poly(3), "beta_even")
+
+
+def _level_one_row(p: IntPolynomial) -> list[int]:
+    _, seq = build_table(NumberField.from_poly(p), 1, 1, 60).u_sequence(1)
+    return seq
+
+
+def test_top_iterate_rule_holds_for_unit_constant_term() -> None:
+    # x^3 - 3x^2 - x - 1: a_0 = -1, so the parity rule is the recurrence of
+    # row d-2, and detection finds exactly it
+    p = IntPolynomial.from_coeffs([-1, -1, -3, 1])
+    pred = predicted_recurrence(p, "top_iterate_1deg")
+    detected = detect_recurrence(_level_one_row(p))
+    assert compare_recurrence(detected, pred).verdict == "equal"
+
+
+def test_top_iterate_rule_refuted_for_other_constant_term() -> None:
+    # x^3 - 3x^2 - x + 1: a_0 = +1, and row d-2 follows a law that differs
+    # from the prediction at lag 2
+    p = IntPolynomial.from_coeffs([1, -1, -3, 1])
+    pred = predicted_recurrence(p, "top_iterate_1deg")
+    detected = detect_recurrence(_level_one_row(p))
+    assert tuple(detected.coeffs) == (-1, 3, 1)
+    assert pred.coeffs == (-1, -3, 1)
+    comparison = compare_recurrence(detected, pred)
+    assert comparison.verdict == "mismatch"
+    assert comparison.mismatch_positions == (2,)
+
+
+def _reference_prediction(min_poly: IntPolynomial, variant: str):
+    """The variant-by-variant prediction code the parity rule replaced."""
+    if variant not in VARIANTS:
+        raise InvalidParameters(f"unknown variant {variant!r}")
+    if not min_poly.is_monic:
+        raise InvalidParameters("minimal polynomial must be monic")
+    d = min_poly.degree
+    if variant == "zero_iterate":
+        if d < 1:
+            raise VariantInapplicable("zero_iterate needs degree >= 1")
+        return 0, tuple(-min_poly.coeff(d - i) for i in range(1, d + 1))
+    if variant == "top_iterate_1deg":
+        if d < 3:
+            raise VariantInapplicable("top_iterate_1deg needs degree >= 3")
+        if min_poly == plastic_poly():
+            raise VariantInapplicable("the plastic number is excluded")
+        if min_poly in (alpha_poly(d - 1), beta_poly(d - 1), delta2_poly()):
+            raise VariantInapplicable(
+                "limit-point polynomial; use the alpha/beta variants"
+            )
+        if d % 2 == 1:
+            coeffs = tuple(min_poly.coeff(j) for j in range(1, d + 1))
+        else:
+            coeffs = tuple(
+                min_poly.coeff(j) if j % 2 == 0 else -min_poly.coeff(j)
+                for j in range(1, d + 1)
+            )
+        return d - 2, coeffs
+    n = d - 1
+    if variant in ("alpha_form", "alpha_form_adjusted"):
+        if n < 2 or min_poly != alpha_poly(n):
+            raise VariantInapplicable(
+                "alpha_form applies to alpha_poly(n) with n >= 2"
+            )
+        mid = (-2) ** (n + 1) if variant == "alpha_form" else 2 * (-1) ** (n + 1)
+        terms = {1: (-1) ** n, n: mid, n + 1: 1}
+        return n - 1, tuple(terms.get(i, 0) for i in range(1, n + 2))
+    if variant == "beta_odd":
+        if n < 3 or n % 2 == 0 or min_poly != beta_poly(n):
+            raise VariantInapplicable(
+                "beta_odd applies to beta_poly(n) with odd n >= 3"
+            )
+        return n - 1, tuple(1 if i % 2 == 1 else -1 for i in range(1, n + 1)) + (1,)
+    if n < 2 or n % 2 == 1 or min_poly != beta_poly(n):
+        raise VariantInapplicable(
+            "beta_even applies to beta_poly(n) with even n >= 2"
+        )
+    return n - 1, (-1,) * n + (1,)
+
+
+def _prediction_outcome(predict, p: IntPolynomial, variant: str):
+    try:
+        result = predict(p, variant)
+    except PisotLabError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, tuple):
+        return result
+    assert result.variant == variant
+    return result.level, result.coeffs
+
+
+def test_predicted_recurrence_matches_reference() -> None:
+    rng = random.Random(7)
+    polys = [alpha_poly(n) for n in range(1, 41)] + [beta_poly(n) for n in range(1, 41)]
+    polys += [delta2_poly(), plastic_poly(), IntPolynomial.from_coeffs([1])]
+    for _ in range(2500):
+        d = rng.randint(1, 9)
+        lower = [rng.randint(-3, 3) for _ in range(d)]
+        if rng.random() < 0.5:
+            lower[0] = -1
+        polys.append(IntPolynomial.from_coeffs(lower + [1]))
+    polys.append(IntPolynomial.from_coeffs([-1, 1, 2]))  # not monic
+    for p in polys:
+        for variant in VARIANTS + ("bogus",):
+            new = _prediction_outcome(predicted_recurrence, p, variant)
+            assert new == _prediction_outcome(_reference_prediction, p, variant), (p, variant)
+
+
+def test_prediction_characteristic_matches_coefficients() -> None:
+    # x^order - b_1 x^(order-1) - ... - b_order, stated directly
+    for p, variant in [(alpha_poly(n), "alpha_form") for n in range(2, 8)] + [
+        (beta_poly(n), "beta_even") for n in (2, 4, 6)
+    ]:
+        pred = predicted_recurrence(p, variant)
+        terms = [(pred.order, 1)] + [
+            (pred.order - k, -c) for k, c in enumerate(pred.coeffs, start=1)
+        ]
+        assert pred.characteristic() == poly_from_terms(terms)
 
 
 def test_unknown_variant_rejected() -> None:
