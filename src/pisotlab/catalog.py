@@ -135,8 +135,13 @@ _EXPECTATION_KEYS = {
 
 
 def _parse_expectations(name: str, raw: dict, source: str) -> ExpectationSet:
+    items = raw.get("levels", []) if isinstance(raw, dict) else None
+    if not isinstance(items, list):
+        raise CatalogError(
+            "catalog %s entry %r: bad expected_patterns %r" % (source, name, raw)
+        )
     levels = []
-    for item in raw.get("levels", []):
+    for item in items:
         try:
             level = int(item["level"])
             optional = {

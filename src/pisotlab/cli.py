@@ -276,13 +276,19 @@ def cmd_iterate(args, out) -> int:
                 "exact_zero": {str(c.n): c.exact_zero for c in cells},
             },
         )
-    if table.failures:
-        for (k, n), reason in sorted(table.failures.items()):
-            writer.error("rounding", reason, level=k, n=n)
-        writer.close("rounding_failure")
+    if _rounding_failures(writer, table.failures):
         return EXIT_ROUNDING
     writer.close()
     return EXIT_OK
+
+
+def _rounding_failures(writer: ReportWriter, failures: dict) -> bool:
+    """One ``rounding`` error per failed cell, then a rounding-failure close."""
+    for (k, n), reason in sorted(failures.items()):
+        writer.error("rounding", reason, level=k, n=n)
+    if failures:
+        writer.close("rounding_failure")
+    return bool(failures)
 
 
 def _suite_target(args):
@@ -337,6 +343,8 @@ def cmd_suite(args, out) -> int:
     _emit_suite(writer, suite, graded=graded)
     if isinstance(target, LogEquationSpec) and target.n <= 2:
         writer.record("note", {"text": "no strictly-middle congruence levels; skipped"})
+    if _rounding_failures(writer, suite.table_failures):
+        return EXIT_ROUNDING
     if graded and not suite.passed:
         writer.close("expectation_failure")
         return EXIT_EXPECTATION

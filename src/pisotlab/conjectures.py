@@ -12,9 +12,9 @@ Four instruments, each producing a small report object:
   and grades the outcome against optional expected-pattern annotations.
 
 Everything here is exact: residues come either from exact integer parts or
-from companion-matrix exponentiation modulo ``p`` seeded with exact initial
-terms (the latter is flagged, since it silently assumes the detected
-recurrence keeps holding past the exact window).
+from the detected recurrence extended modulo ``p`` from exact initial terms
+(the latter is flagged, since it silently assumes the detected recurrence
+keeps holding past the exact window).
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def congruence_scan(
     when it covers the column, otherwise recomputing the column).  Primes
     beyond ``exact_limit`` need a verified ``recurrence`` for the level's
     row, whose index 0 is exponent ``SUITE_N_LO``; residues are then pushed
-    forward with modular companion-matrix powers from exact initial terms.
+    forward modulo ``p`` from exact initial terms by ``modular_extend``.
     Primes below the recurrence's onset are still evaluated exactly, since
     the recurrence is not claimed to hold there.
 

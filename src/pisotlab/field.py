@@ -110,7 +110,7 @@ class NumberField:
         self.degree = min_poly.degree
         self.certificate = certificate
         self._theta_iv = certificate.dominant_root
-        self._power_cache: dict[int, FieldElement] = {}
+        self._powers = [self.element((0,) * i + (1,)) for i in range(self.degree)]
         # theta^(d+j) for j = 0..d-2, enough to reduce any product of two elements
         self._reduction_rows = [
             self.theta_power(self.degree + j).coords for j in range(self.degree - 1)
@@ -177,31 +177,20 @@ class NumberField:
     mul = element_mul
 
     def theta_power(self, n: int) -> FieldElement:
-        """Coordinates of theta**n (cached; n >= 0)."""
+        """Coordinates of theta**n (n >= 0), read from the list theta^0,
+        theta^1, ..., which grows by one multiplication by theta per missing
+        power."""
         if n < 0:
             raise InvalidParameters("negative power")
-        d = self.degree
-        if n < d:
-            return self.element((0,) * n + (1,))
-        cached = self._power_cache.get(n)
-        if cached is not None:
-            return cached
-        # the nearest cached power below n; every multiple of 8 up to the
-        # largest cached power is cached, so this is a short walk
-        start = n - 1
-        while start >= d and start not in self._power_cache:
-            start -= 1
-        cur = self._power_cache.get(start) or self.theta_power(start)
-        base = tuple(-self.min_poly.coeff(i) for i in range(d))
-        for k in range(start + 1, n + 1):
-            # theta * theta^(k-1): shift up, fold the top coordinate back in
-            # (for d = 1 nothing is shifted)
-            prev = cur.coords
+        powers = self._powers
+        while len(powers) <= n:
+            # shift up, fold the top coordinate back in by the minimal
+            # polynomial (for d = 1 nothing is shifted)
+            prev = powers[-1].coords
             over, shifted = prev[-1], (0,) + prev[:-1]
-            cur = FieldElement(tuple(s + over * b for s, b in zip(shifted, base)))
-            if k % 8 == 0 or k == n:
-                self._power_cache[k] = cur
-        return cur
+            folded = (s - over * a for s, a in zip(shifted, self.min_poly.coeffs))
+            powers.append(FieldElement(tuple(folded)))
+        return powers[n]
 
     # -- numeric enclosures ---------------------------------------------------
 

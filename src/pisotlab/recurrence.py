@@ -4,13 +4,15 @@ extension.
 
 Detection policy: smallest order whose relation fits the tail window of the
 sequence exactly (window length 2*order + 4), with the onset then walked
-back as far as the relation keeps holding.  All linear algebra is exact
-over Fraction, so a detected recurrence is a statement about the sequence,
-not an approximation.
+back as far as the relation keeps holding.  The fit is solved exactly on
+integer rows, so a detected recurrence is a statement about the sequence,
+not an approximation.  Extension modulo p reduces x^e modulo the
+characteristic polynomial (Fiduccia, SIAM J. Comput. 14(1), 1985).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -48,39 +50,34 @@ class Recurrence:
         )
 
 
-def _solve_exact(rows: list[list[int]], rhs: list[int], j: int):
-    """Gauss-Jordan over Q.  Returns a particular solution (free variables
-    set to 0) or None when the system is inconsistent."""
-    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs)]
-    nrows = len(m)
+def _solve_exact(m: list[list[int]], j: int) -> list[Fraction] | None:
+    """Fraction-free Gauss-Jordan on the augmented integer rows ``m`` (j
+    coefficient columns, then the right-hand side), in place: each row stays
+    a nonzero rational multiple of its counterpart over Q.  Returns a
+    particular solution (free variables 0) or None when inconsistent."""
     pivots: list[int] = []
     r = 0
     for c in range(j):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        prow, pv = m[r], m[r][c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and f:
+                row = [pv * a - f * b for a, b in zip(row, prow)]
+                g = math.gcd(*row)
+                m[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][j] != 0 and all(m[i][c] == 0 for c in range(j)):
-            return None
+    # rows below the last pivot have no coefficients left
+    if any(row[j] for row in m[r:]):
+        return None
     sol = [Fraction(0)] * j
-    for row_idx, c in enumerate(pivots):
-        sol[c] = m[row_idx][j]
+    for i, c in enumerate(pivots):
+        sol[c] = Fraction(m[i][j], m[i][c])
     return sol
-
-
-def _holds_at(seq: Sequence[int], b: Sequence[Fraction], i: int) -> bool:
-    return seq[i] == sum(c * seq[i - 1 - k] for k, c in enumerate(b))
 
 
 def detect_recurrence(seq: Sequence[int]) -> Recurrence:
@@ -96,24 +93,24 @@ def detect_recurrence(seq: Sequence[int]) -> Recurrence:
     if cap < 1:
         raise NoRecurrenceFound(f"sequence of length {length} is too short")
     for j in range(1, cap + 1):
-        w = 2 * j + 4
-        first_eq = length - w + j
-        rows = [[seq[i - k] for k in range(1, j + 1)] for i in range(first_eq, length)]
-        rhs = [seq[i] for i in range(first_eq, length)]
-        b = _solve_exact(rows, rhs, j)
+        # one equation u_i = sum_k b_k u_{i-k} per index i of the window's tail
+        rows = [
+            [seq[i - k] for k in range(1, j + 1)] + [seq[i]]
+            for i in range(length - j - 4, length)
+        ]
+        b = _solve_exact(rows, j)
         if b is None:
             continue
-        if not all(_holds_at(seq, b, i) for i in range(first_eq, length)):
-            continue  # defensive; a consistent solve should never land here
-        last_bad = -1
-        for i in range(j, length):
-            if not _holds_at(seq, b, i):
-                last_bad = i
-        onset = max(0, last_bad + 1 - j)
-        coeffs = tuple(
-            int(c) if c.denominator == 1 else c for c in b
-        )
-        return Recurrence(order=j, coeffs=coeffs, onset=onset)
+        # walk the onset back on integers, b scaled by its common denominator
+        den = math.lcm(*(c.denominator for c in b))
+        ib = [c.numerator * (den // c.denominator) for c in b]
+        i = length  # the relation holds at every index from i on
+        while i > j and den * seq[i - 1] == sum(
+            c * seq[i - 2 - k] for k, c in enumerate(ib)
+        ):
+            i -= 1
+        coeffs = tuple(int(c) if c.denominator == 1 else c for c in b)
+        return Recurrence(order=j, coeffs=coeffs, onset=max(0, i - j))
     raise NoRecurrenceFound(
         f"no linear recurrence of order <= {cap} fits the sequence tail"
     )
@@ -292,7 +289,9 @@ def modular_extend(
     """u_{target_index} mod p, where initial_terms are the exact values
     u_{onset}, ..., u_{onset + order - 1}.
 
-    Companion-matrix exponentiation, O(order^3 log target_index).
+    If x^e = sum_i c_i x^i modulo the characteristic polynomial over Z/p,
+    with e = target_index - onset, the answer is sum_i c_i u_{onset + i}.
+    Square-and-multiply, O(order^2 log target_index).
     """
     if not r.is_integral:
         raise InvalidParameters("modular extension needs integer coefficients")
@@ -305,42 +304,21 @@ def modular_extend(
         raise IndexBelowOnset(
             f"index {target_index} precedes the recurrence onset {r.onset}"
         )
-    if target_index < r.onset + j:
-        return initial_terms[target_index - r.onset] % p
-    coeffs = [int(c) % p for c in r.coeffs]
-    mat = [[0] * j for _ in range(j)]
-    mat[0] = coeffs[:]
-    for i in range(1, j):
-        mat[i][i - 1] = 1
-    steps = target_index - (r.onset + j - 1)
-    power = _mat_pow(mat, steps, p)
-    state = [initial_terms[j - 1 - i] % p for i in range(j)]  # newest first
-    return sum(power[0][i] * state[i] for i in range(j)) % p
-
-
-def _mat_mul(a, b, p):
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            f = ai[k]
-            if f == 0:
-                continue
-            bk = b[k]
-            for col in range(n):
-                oi[col] = (oi[col] + f * bk[col]) % p
-    return out
-
-
-def _mat_pow(m, e, p):
-    n = len(m)
-    result = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
-    base = [row[:] for row in m]
-    while e:
-        if e & 1:
-            result = _mat_mul(result, base, p)
-        base = _mat_mul(base, base, p)
-        e >>= 1
-    return result
+    b = [int(c) % p for c in r.coeffs]
+    power = [1] + [0] * (j - 1)  # x^0
+    for bit in bin(target_index - r.onset)[2:]:
+        prod = [0] * (2 * j - 1)
+        for i, x in enumerate(power):
+            if x:
+                for k, y in enumerate(power):
+                    prod[i + k] += x * y
+        if bit == "1":
+            prod.insert(0, 0)  # times x
+        # fold from the top: x^t = sum_k b_k x^(t-k) modulo the characteristic
+        for t in range(len(prod) - 1, j - 1, -1):
+            c = prod[t] % p
+            if c:
+                for k, bk in enumerate(b, start=1):
+                    prod[t - k] += c * bk
+        power = [c % p for c in prod[:j]]
+    return sum(c * u for c, u in zip(power, initial_terms)) % p

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from pisotlab.catalog import DEFAULT_NAMES, load_catalog
+from pisotlab.cli import main
 from pisotlab.conjectures import LevelExpectation
 from pisotlab.errors import CatalogError
 from pisotlab.poly import IntPolynomial, delta2_poly, plastic_poly
@@ -200,3 +201,17 @@ def test_malformed_expectation_items(tmp_path, item, message) -> None:
     with pytest.raises(CatalogError, match="bad expectation item") as info:
         load_catalog(_catalog_with_items(tmp_path, [item]))
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("patterns", [[{"level": 0}], {"levels": 5}])
+def test_malformed_expected_patterns(tmp_path, capsys, patterns) -> None:
+    doc = {
+        "schema_version": 1,
+        "entries": [{"name": "g", "coeffs": ["-1", "-1", "1"], "expected_patterns": patterns}],
+    }
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CatalogError, match="bad expected_patterns"):
+        load_catalog(path)
+    assert main(["--catalog", str(path), "certify", "--name", "g"]) == 2
+    assert "bad expected_patterns" in capsys.readouterr().err

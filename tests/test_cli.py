@@ -12,14 +12,6 @@ from pisotlab.cli import build_parser, main
 from pisotlab.poly import alpha_poly
 
 GOLDEN_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "catalog_cli.jsonl"
-# the golden commands that run in about a second together
-CHEAP_GOLDEN = {
-    ("limits", "identities"),
-    ("limits", "ordering"),
-    ("generate", "--target", "7"),
-    ("suite", "--alpha", "3"),
-    ("suite", "--beta", "3"),
-}
 
 
 def run(capsys, argv):
@@ -143,6 +135,25 @@ def test_iterate_precision_cap_exhaustion(capsys, monkeypatch) -> None:
     assert trailer(lines)["status"] == "rounding_failure"
     assert trailer(lines)["error_count"] == 3
     assert any(l.get("error") == "rounding" for l in lines)
+
+
+def test_suite_precision_cap_exhaustion(capsys, monkeypatch) -> None:
+    # the same cap fails every table cell; suite reports them as iterate does
+    monkeypatch.setattr(pisotlab.field, "CAP_BITS", 32)
+    code, lines, _ = run(
+        capsys, ["suite", "--name", "golden", "--no-expect", "--pmax", "31"]
+    )
+    assert code == 4
+    errs = [l for l in lines if "error" in l]
+    assert errs
+    for err in errs:
+        assert err.keys() == {"error", "message", "level", "n"}
+        assert err["error"] == "rounding"
+    assert trailer(lines) == {"status": "rounding_failure", "error_count": len(errs)}
+    # graded, the rounding failure takes precedence over the failed expectations
+    code, lines, _ = run(capsys, ["suite", "--name", "golden", "--pmax", "31"])
+    assert code == 4
+    assert records(lines, "expectation") and trailer(lines)["status"] == "rounding_failure"
 
 
 def test_suite_graded_catalog_passes(capsys) -> None:
@@ -317,31 +328,30 @@ def test_output_is_byte_deterministic(capsys) -> None:
     assert first == second
 
 
-def _cheap_golden_commands() -> list[tuple[list[str], int, str]]:
-    """(argv, exit code, stdout) of the cheap commands in the benchmark's
-    golden file: a header line with the record count, then the records."""
+def _golden_commands() -> list[tuple[list[str], int, str]]:
+    """(argv, exit code, stdout) of every command in the benchmark's golden
+    file: a header line with the record count, then the records."""
     lines = GOLDEN_CLI.read_text(encoding="utf-8").splitlines()
     out = []
     i = 0
     while i < len(lines):
         head = json.loads(lines[i])
-        argv, n = head["argv"], head["lines"]
-        if argv[0] == "certify" or tuple(argv) in CHEAP_GOLDEN:
-            stdout = "".join(line + "\n" for line in lines[i + 1 : i + 1 + n])
-            out.append((argv, head["exit"], stdout))
+        n = head["lines"]
+        stdout = "".join(line + "\n" for line in lines[i + 1 : i + 1 + n])
+        out.append((head["argv"], head["exit"], stdout))
         i += 1 + n
     return out
 
 
-CHEAP_COMMANDS = _cheap_golden_commands()
+GOLDEN_COMMANDS = _golden_commands()
 
 
 def test_cheap_golden_commands_present() -> None:
-    assert len(CHEAP_COMMANDS) == 12
+    assert len(GOLDEN_COMMANDS) == 29
 
 
 @pytest.mark.parametrize(
-    "argv,code,stdout", CHEAP_COMMANDS, ids=[" ".join(c[0]) for c in CHEAP_COMMANDS]
+    "argv,code,stdout", GOLDEN_COMMANDS, ids=[" ".join(c[0]) for c in GOLDEN_COMMANDS]
 )
 def test_output_matches_golden(capsys, argv, code, stdout) -> None:
     assert main(list(argv)) == code

@@ -94,6 +94,28 @@ COORD = st.one_of(
 )
 
 
+def _powers_by_mul(field: NumberField, count: int) -> list[FieldElement]:
+    acc, out = field.one(), []
+    for _ in range(count):
+        out.append(acc)
+        acc = field.element_mul(acc, field.theta())
+    return out
+
+
+# every catalog field and a degree-1 field, whose theta is the integer 2
+POWER_FIELDS = CATALOG_FIELDS + [NumberField.from_poly([-2, 1])]
+POWERS_BY_MUL = [_powers_by_mul(f, 121) for f in POWER_FIELDS]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, len(POWER_FIELDS) - 1), st.lists(st.integers(0, 120), max_size=8))
+def test_theta_power_matches_repeated_multiplication_in_any_order(i, ns) -> None:
+    # a fresh field on the same certificate, asked for powers out of order
+    field = NumberField(POWER_FIELDS[i].min_poly, POWER_FIELDS[i].certificate)
+    for n in ns + [120]:
+        assert field.theta_power(n) == POWERS_BY_MUL[i][n]
+
+
 # From 16 bits on, every catalog theta enclosure has dyadic endpoints (the
 # certificate's own endpoints are bisected away first), which the mantissa
 # grid holds exactly; the bound below rests on that.

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pisotlab.errors import (
     IndexBelowOnset,
@@ -12,6 +14,7 @@ from pisotlab.errors import (
     PisotLabError,
     VariantInapplicable,
 )
+from pisotlab.catalog import load_catalog
 from pisotlab.field import NumberField
 from pisotlab.poly import (
     IntPolynomial,
@@ -364,3 +367,187 @@ def test_modular_extend_validation() -> None:
     frac = Recurrence(order=1, coeffs=(Fraction(1, 2),), onset=0)
     with pytest.raises(InvalidParameters):
         modular_extend(frac, [4], 5, 3)
+
+
+# -- differential tests against the Fraction / companion-matrix kernels --------
+
+
+def _reference_solve(rows, rhs, j):
+    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs)]
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(j):
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for i in range(r, nrows):
+        if m[i][j] != 0 and all(m[i][c] == 0 for c in range(j)):
+            return None
+    sol = [Fraction(0)] * j
+    for row_idx, c in enumerate(pivots):
+        sol[c] = m[row_idx][j]
+    return sol
+
+
+def _reference_holds_at(seq, b, i):
+    return seq[i] == sum(c * seq[i - 1 - k] for k, c in enumerate(b))
+
+
+def _reference_detect(seq):
+    """detect_recurrence as it was, Gauss-Jordan over Fraction."""
+    seq = list(seq)
+    length = len(seq)
+    cap = length // 2 - 2
+    if cap < 1:
+        raise NoRecurrenceFound(f"sequence of length {length} is too short")
+    for j in range(1, cap + 1):
+        w = 2 * j + 4
+        first_eq = length - w + j
+        rows = [[seq[i - k] for k in range(1, j + 1)] for i in range(first_eq, length)]
+        rhs = [seq[i] for i in range(first_eq, length)]
+        b = _reference_solve(rows, rhs, j)
+        if b is None:
+            continue
+        if not all(_reference_holds_at(seq, b, i) for i in range(first_eq, length)):
+            continue
+        last_bad = -1
+        for i in range(j, length):
+            if not _reference_holds_at(seq, b, i):
+                last_bad = i
+        onset = max(0, last_bad + 1 - j)
+        coeffs = tuple(int(c) if c.denominator == 1 else c for c in b)
+        return Recurrence(order=j, coeffs=coeffs, onset=onset)
+    raise NoRecurrenceFound(
+        f"no linear recurrence of order <= {cap} fits the sequence tail"
+    )
+
+
+def _outcome(f, *args):
+    """f's value, or the type and message of the library error it raised."""
+    try:
+        return f(*args)
+    except PisotLabError as exc:
+        return type(exc), str(exc)
+
+
+def _catalog_rows(n_hi):
+    rows = []
+    for entry in load_catalog():
+        table = build_table(NumberField.from_poly(entry.poly), entry.degree - 1, 1, n_hi)
+        rows += [table.u_sequence(k)[1] for k in range(entry.degree)]
+    return rows
+
+
+def test_detect_matches_reference_on_catalog_rows() -> None:
+    # n <= 40 keeps the Fraction reference to about a second; the golden
+    # CLI test covers the suite's longer rows through their output
+    for seq in _catalog_rows(40):
+        assert _outcome(detect_recurrence, seq) == _outcome(_reference_detect, seq)
+
+
+@st.composite
+def _recurrence_rows(draw):
+    """Rows of length 0..40: noise, zero, constant and alternating runs,
+    sparse rows (rank-deficient systems), planted integer recurrences after
+    a noisy prefix, and sums of rational geometric terms (a / q)^i scaled
+    by q^length (rational coefficients)."""
+    kind = draw(st.sampled_from(
+        ["noise", "zero", "constant", "alternating", "sparse", "planted", "rational"]
+    ))
+    length = draw(st.integers(0, 40))
+    small = st.integers(-3, 3)
+    if kind == "noise":
+        return draw(st.lists(small, min_size=length, max_size=length))
+    if kind == "zero":
+        return [0] * length
+    if kind in ("constant", "alternating"):
+        v = draw(small)
+        return [v * (-1) ** i if kind == "alternating" else v for i in range(length)]
+    if kind == "sparse":
+        spots = draw(st.lists(st.integers(0, max(0, length - 1)), max_size=3))
+        return [draw(small) if i in spots else 0 for i in range(length)]
+    if kind == "planted":
+        coeffs = draw(st.lists(small, min_size=1, max_size=6))
+        seq = draw(st.lists(st.integers(-9, 9), min_size=len(coeffs), max_size=len(coeffs)))
+        while len(seq) < length:
+            seq.append(sum(c * seq[-k] for k, c in enumerate(coeffs, start=1)))
+        prefix = draw(st.lists(st.integers(-9, 9), max_size=5))
+        return (prefix + seq)[:length]
+    q = draw(st.sampled_from([2, 3, 4]))
+    terms = draw(st.lists(st.tuples(st.integers(-4, 4), small), min_size=1, max_size=3))
+    return [sum(w * a**i * q ** (length - i) for a, w in terms) for i in range(length)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_recurrence_rows())
+def test_detect_matches_reference(seq) -> None:
+    assert _outcome(detect_recurrence, seq) == _outcome(_reference_detect, seq)
+
+
+def _reference_extend(r, initial_terms, p, target_index):
+    """modular_extend as it was, by companion-matrix powers."""
+    if not r.is_integral:
+        raise InvalidParameters("modular extension needs integer coefficients")
+    j = r.order
+    if len(initial_terms) != j:
+        raise InvalidParameters(f"need exactly {j} initial terms")
+    if p < 2:
+        raise InvalidParameters("modulus must be >= 2")
+    if target_index < r.onset:
+        raise IndexBelowOnset(
+            f"index {target_index} precedes the recurrence onset {r.onset}"
+        )
+    if target_index < r.onset + j:
+        return initial_terms[target_index - r.onset] % p
+    mat = [[0] * j for _ in range(j)]
+    mat[0] = [int(c) % p for c in r.coeffs]
+    for i in range(1, j):
+        mat[i][i - 1] = 1
+    power = [[int(i == k) for k in range(j)] for i in range(j)]
+    e = target_index - (r.onset + j - 1)
+    while e:
+        if e & 1:
+            power = _reference_mat_mul(power, mat, p)
+        mat = _reference_mat_mul(mat, mat, p)
+        e >>= 1
+    state = [initial_terms[j - 1 - i] % p for i in range(j)]
+    return sum(power[0][i] * state[i] for i in range(j)) % p
+
+
+def _reference_mat_mul(a, b, p):
+    n = len(a)
+    return [
+        [sum(a[i][k] * b[k][col] for k in range(n)) % p for col in range(n)]
+        for i in range(n)
+    ]
+
+
+@st.composite
+def _extensions(draw):
+    order = draw(st.integers(1, 20))
+    coeffs = tuple(draw(st.lists(
+        st.integers(-10**6, 10**6), min_size=order, max_size=order
+    )))
+    init = draw(st.lists(st.integers(-10**9, 10**9), min_size=order, max_size=order))
+    p = draw(st.one_of(st.sampled_from([2, 3, 97, 569, 2**61 - 1]), st.integers(2, 10**9)))
+    onset = draw(st.integers(0, 50))
+    target = draw(st.integers(max(0, onset - 3), onset + 10**6))
+    return Recurrence(order=order, coeffs=coeffs, onset=onset), init, p, target
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_extensions())
+def test_modular_extend_matches_reference(drawn) -> None:
+    assert _outcome(modular_extend, *drawn) == _outcome(_reference_extend, *drawn)
