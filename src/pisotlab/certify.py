@@ -2,16 +2,22 @@
 
 A monic integer polynomial is accepted when exactly one real root lies
 strictly above 1 and every remaining complex root lies strictly inside the
-unit circle.  Root isolation is delegated to sympy's collins-krandick style
-interval machinery; every acceptance decision is then made on exact rational
-endpoint data, so a verdict never rests on floating point.
+unit circle.  Both routes decide on exact data, never on floating point.
+`prove_pisot` counts zeros in a disk by the Schur-Cohn/Marden recursion on
+integers and returns what a field needs (verdict, theta bracket, radius);
+`NumberField.from_poly` tries it first.  `certify_pisot` isolates every root
+with sympy's collins-krandick style interval machinery and encloses each
+conjugate modulus; the ``certify`` command and `solve_log_equation` print
+those enclosures, and a field falls back to it when the proof declines.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import (
     InvalidParameters,
@@ -25,6 +31,8 @@ from .primes import primes_between
 
 
 class Verdict(Enum):
+    # geometry certified; `prove_pisot` records no witness prime, since the
+    # geometry forces irreducibility (see the `field` module docstring)
     PISOT = "pisot"
     NOT_PISOT = "not_pisot"
     # root geometry certified, but no small-prime irreducibility witness
@@ -34,7 +42,12 @@ class Verdict(Enum):
 @dataclass(frozen=True)
 class PisotCertificate:
     """The defaults are those of a refutation, which records only what it
-    found."""
+    found.
+
+    A `prove_pisot` acceptance (the field path) has verdict PISOT, no
+    witness and no moduli: ``dominant_root`` is the bracket
+    [1, 1 + max|a_i|] of theta, ``conjugate_bound`` the proved radius.
+    """
 
     verdict: Verdict = Verdict.NOT_PISOT
     dominant_root: RatInterval | None = None
@@ -108,6 +121,81 @@ def refine_root(p: IntPolynomial, iv: RatInterval, bits: int) -> RatInterval:
             hn, hd = m, 1 << e
 
 
+def _check_input(p: IntPolynomial) -> None:
+    if p.degree < 1:
+        raise InvalidParameters("certification needs degree >= 1")
+    if not p.is_monic:
+        raise NotMonic(f"polynomial must be monic, leading term {p.leading}")
+    if p.coeff(0) == 0:
+        raise ZeroConstantTerm("constant term is zero; 0 would be a root")
+
+
+def _disk_count(coeffs: Sequence[int]) -> int | None:
+    """Number of zeros in the open unit disk of the integer polynomial with
+    ascending coefficients ``coeffs`` (formal degree len - 1), or None when
+    the recursion meets a zero delta and so makes no claim.
+
+    Schur-Cohn/Marden recursion (Marden, Geometry of Polynomials, 1966,
+    Thm 42.1): f -> a_0 f - a_n f*, with f* the reversal at the formal
+    degree, cancels the top coefficient; the new constant term is
+    delta = a_0^2 - a_n^2.  When no delta is 0, the zeros inside are as many
+    as the negative running products delta_1 ... delta_j.  Each step divides
+    by its (positive) content, which keeps every sign.
+    """
+    f = list(coeffs)
+    inside, negative = 0, False
+    while len(f) > 1:
+        a0, an = f[0], f[-1]
+        g = [a0 * x - an * y for x, y in zip(f[:-1], reversed(f[1:]))]
+        if g[0] == 0:
+            return None
+        negative ^= g[0] < 0
+        inside += negative
+        c = math.gcd(*g)
+        f = [x // c for x in g]
+    return inside
+
+
+# Radii r = 1 - 2**-k, k = 1, 2, 4, ..., 64, as (numerator, denominator).
+_RADII = tuple(((1 << k) - 1, 1 << k) for k in (1, 2, 4, 8, 16, 32, 64))
+
+
+def prove_pisot(p: IntPolynomial) -> PisotCertificate | None:
+    """Prove Pisot geometry by exact disk counting, or return None.
+
+    p(1) < 0 gives a real root above 1.  If n - 1 zeros of the degree-n p lie
+    in |z| < r for some r < 1, that root is the only one outside the disk:
+    theta is simple, real and above 1, and every conjugate has modulus
+    below r.  The radii r = a/b = 1 - 2**-k are tried in turn on
+    q(z) = b**n p(a z / b), whose zeros in the unit disk are those of p in
+    |z| < r.  Every delta a_0^2 - a_n^2 is odd there: q has only its top
+    coefficient odd, every later f only its constant term, so every count
+    makes a claim.
+
+    None means no radius proved the geometry; `certify_pisot` decides those
+    (a conjugate may lie above 1 - 2**-64).  Input errors are those of
+    `certify_pisot`.
+    """
+    _check_input(p)
+    if p(1) >= 0:
+        return None
+    n = p.degree
+    for a, b in _RADII:
+        q = [c * a**i * b ** (n - i) for i, c in enumerate(p.coeffs)]
+        if _disk_count(q) == n - 1:
+            break
+    else:
+        return None
+    if n == 1:
+        dominant = RatInterval.point(-p.coeff(0))
+    else:
+        # Cauchy: every root has modulus below 1 + max|a_i|, so p(1) < 0 < p(B)
+        dominant = RatInterval(Fraction(1), Fraction(1 + max(map(abs, p.coeffs[:-1]))))
+    return PisotCertificate(
+        verdict=Verdict.PISOT, dominant_root=dominant, conjugate_bound=Fraction(a, b)
+    )
+
+
 # Isolation widths 1/eps_den to try: sympy's default pass first, then
 # 2**-6, 2**-12, ..., 2**-3072.  Finite because circle-touching roots are
 # excluded before the ladder runs.
@@ -121,15 +209,10 @@ def certify_pisot(p: IntPolynomial) -> PisotCertificate:
     Returns a certificate whose verdict is PISOT (geometry certified and the
     polynomial is irreducible modulo the recorded witness prime),
     UNVERIFIED_IRREDUCIBILITY (geometry certified, no witness among primes
-    below 100 -- reducibility has not been ruled out), or NOT_PISOT.
+    below 100), or NOT_PISOT.  The geometry alone forces irreducibility,
+    so `prove_pisot` returns PISOT with no witness.
     """
-    if p.degree < 1:
-        raise InvalidParameters("certification needs degree >= 1")
-    if not p.is_monic:
-        raise NotMonic(f"polynomial must be monic, leading term {p.leading}")
-    if p.coeff(0) == 0:
-        raise ZeroConstantTerm("constant term is zero; 0 would be a root")
-
+    _check_input(p)
     for r in (1, -1):
         if p(r) == 0:
             return PisotCertificate(

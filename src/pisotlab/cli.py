@@ -11,12 +11,14 @@ Commands:
 
 Exit codes: 0 success (including pure findings), 2 unparseable input,
 3 certified not-Pisot, 4 rounding/precision failure, 5 a graded expectation
-failed, 6 residual gate or chain-separation failure.
+failed, 6 residual gate or chain-separation failure, 141 stdout closed by
+its reader (no traceback).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -66,6 +68,9 @@ EXIT_NOT_PISOT = 3
 EXIT_ROUNDING = 4
 EXIT_EXPECTATION = 5
 EXIT_RESIDUAL = 6
+# the reader of stdout went away (e.g. ``| head -1``): 128 + SIGPIPE, the
+# status a shell reports for a writer the closed pipe killed
+EXIT_BROKEN_PIPE = 141
 
 # first match wins, as in an except chain
 _EXIT_CODES = (
@@ -223,10 +228,28 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         args.tol = _parse_tol(args.tol)
-        return handler(args, sys.stdout)
+        code = handler(args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe may first show on this flush
+        return code
+    except BrokenPipeError:
+        _silence_stdout()
+        return EXIT_BROKEN_PIPE
     except PisotLabError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
+
+
+def _silence_stdout() -> None:
+    """Point a stdout whose reader has gone at os.devnull, so the
+    interpreter's final flush raises nothing; an in-memory stdout (no file
+    descriptor) is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _resolve_poly(args) -> tuple[str, IntPolynomial]:

@@ -422,11 +422,15 @@ def alpha_expectations(n: int, *, max_onset_prime: int | None = None) -> Expecta
 
     Level 0 residue 2, middle levels 0, level ``n-1`` residue -1, level
     ``n`` constant +1 (even ``n``) or alternating odd->+1 (odd ``n``).
+    Level 0's residue is -a_n, the sub-leading coefficient negated: 2 for
+    n >= 2, but alpha_1 = beta_1 = x^2 - x - 1 has a_1 = -1, so its one
+    congruence level expects 1 (the Lucas numbers: L_p = 1 mod p).
     ``max_onset_prime`` bounds the branch onset of every congruence level of
     this one field; the onset grows with ``n``, so it is a per-field bound.
     """
     top = ("plus_one",) if n % 2 == 0 else ("alt_odd_plus",)
-    return _pattern_expectations("alpha_%d" % n, n, (2, 0, -1), top, max_onset_prime)
+    first = 1 if n == 1 else 2
+    return _pattern_expectations("alpha_%d" % n, n, (first, 0, -1), top, max_onset_prime)
 
 
 def beta_expectations(n: int, *, max_onset_prime: int | None = None) -> ExpectationSet:

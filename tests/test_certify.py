@@ -1,14 +1,26 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import pisotlab.certify
 from pisotlab.catalog import load_catalog
-from pisotlab.certify import Verdict, certify_pisot, refine_root, sign_at
-from pisotlab.errors import InvalidParameters
+from pisotlab.certify import (
+    _RADII,
+    Verdict,
+    _disk_count,
+    certify_pisot,
+    prove_pisot,
+    refine_root,
+    sign_at,
+)
+from pisotlab.errors import InvalidParameters, NotPisot
+from pisotlab.field import NumberField
 from pisotlab.intervals import RatInterval
 from pisotlab.poly import (
     IntPolynomial,
@@ -214,3 +226,185 @@ def test_certificate_trace_gate_value() -> None:
 def test_plastic_conjugate_moduli_count() -> None:
     cert = certify_pisot(plastic_poly())
     assert len(cert.conjugate_moduli) == 2
+
+
+# -- prove_pisot: exact disk counting ----------------------------------------
+
+
+def _mp_moduli(coeffs) -> tuple[list, list]:
+    """Every root and its modulus, from mpmath at 40 digits (an oracle
+    independent of the Schur-Cohn recursion); rejects the example when the
+    iteration does not converge, as it may on a multiple root."""
+    with mpmath.workdps(40):
+        try:
+            roots = mpmath.polyroots(list(reversed(coeffs)), maxsteps=200, extraprec=200)
+        except mpmath.libmp.NoConvergence:
+            assume(False)
+        return roots, [abs(r) for r in roots]
+
+
+def _mpf(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+@st.composite
+def integer_polys(draw) -> list[int]:
+    """Ascending integer coefficients, top nonzero, not necessarily monic;
+    some are multiplied by z^2 + 1, z^2 + z + 1 or z + 1, so that roots lie
+    on the unit circle."""
+    n = draw(st.integers(1, 7))
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=n + 1, max_size=n + 1))
+    coeffs[0], coeffs[-1] = coeffs[0] or 1, coeffs[-1] or 1
+    factor = draw(st.sampled_from([None] * 5 + [(1, 0, 1), (1, 1, 1), (1, 1)]))
+    if factor is not None:
+        product = IntPolynomial.from_coeffs(coeffs) * IntPolynomial.from_coeffs(factor)
+        coeffs = list(product.coeffs)
+    return coeffs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(integer_polys())
+def test_disk_count_matches_root_oracle(coeffs) -> None:
+    count = _disk_count(coeffs)
+    _, moduli = _mp_moduli(coeffs)
+    if any(abs(m - 1) < mpmath.mpf(10) ** -12 for m in moduli):
+        # a zero on the circle forces some delta to 0: no claim
+        assert count is None
+    elif count is not None:
+        assert count == sum(1 for m in moduli if m < 1)
+
+
+def test_disk_count_by_hand() -> None:
+    assert _disk_count([1, 0, 1]) is None            # z^2 + 1: the first delta
+    assert _disk_count([-2, 1, -2, 1]) is None       # (z - 2)(z^2 + 1): the second
+    assert _disk_count([2, -5, 2]) is None           # roots 2 and 1/2, none on the circle
+    assert _disk_count([1, -6, 8]) == 2              # (2z - 1)(4z - 1)
+    assert _disk_count([3, -7, 2]) == 1              # (z - 3)(2z - 1)
+    assert _disk_count([5]) == 0
+
+
+@st.composite
+def monic_polys(draw) -> IntPolynomial:
+    """Perron polynomials (all Pisot) or monic polynomials with a
+    sub-leading coefficient drawn to make Pisot geometry likely."""
+    if draw(st.booleans()):
+        return draw(perron_polys())
+    d = draw(st.integers(1, 8))
+    lower = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    lower[-1] = draw(st.integers(-6, 3))
+    lower[0] = lower[0] or -1
+    return IntPolynomial.from_coeffs(lower + [1])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(monic_polys())
+def test_prove_pisot_accepts_only_pisot_geometry(p) -> None:
+    cert = prove_pisot(p)
+    if cert is None:
+        return
+    roots, moduli = _mp_moduli(p.coeffs)
+    outside = [z for z, m in zip(roots, moduli) if m >= _mpf(cert.conjugate_bound)]
+    assert len(outside) == 1
+    theta = outside[0]
+    assert abs(mpmath.im(theta)) < 1e-30 and mpmath.re(theta) > 1
+    assert _mpf(cert.dominant_root.lo) <= mpmath.re(theta) <= _mpf(cert.dominant_root.hi)
+    assert cert.conjugate_bound < 1
+    assert cert.verdict is Verdict.PISOT and cert.irreducibility_witness is None
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(perron_polys())
+def test_prove_pisot_accepts_perron_polynomials(p) -> None:
+    assert prove_pisot(p) is not None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(monic_polys())
+def test_ladder_deltas_never_vanish_on_monic_input(p) -> None:
+    # at r = a/2^k the scaled q has odd top coefficient and even others, so
+    # every delta is odd: on the ladder a count always makes a claim
+    n = p.degree
+    for a, b in _RADII:
+        assert _disk_count([c * a**i * b ** (n - i) for i, c in enumerate(p.coeffs)]) is not None
+
+
+FAMILY_POLYS = [(e.name, e.poly) for e in load_catalog()] + [
+    ("%s_%d" % (f.__name__[0], n), f(n)) for f in (alpha_poly, beta_poly) for n in range(1, 12)
+]
+
+
+@pytest.mark.parametrize("poly", [p for _, p in FAMILY_POLYS], ids=[n for n, _ in FAMILY_POLYS])
+def test_prove_matches_certify_on_catalog_and_families(poly) -> None:
+    proof, cert = prove_pisot(poly), certify_pisot(poly)
+    assert cert.verdict is Verdict.PISOT
+    assert proof.verdict is Verdict.PISOT and proof.irreducibility_witness is None
+    assert proof.conjugate_moduli == ()
+    assert proof.dominant_root.lo <= cert.dominant_root.lo <= cert.dominant_root.hi
+    assert cert.dominant_root.hi <= proof.dominant_root.hi
+    r = proof.conjugate_bound
+    # r bounds every conjugate, and the ladder radius below it does not
+    assert all(m.lo < r for m in cert.conjugate_moduli)
+    below = [Fraction(a, b) for a, b in _RADII if Fraction(a, b) < r]
+    if below:
+        assert any(m.hi >= below[-1] for m in cert.conjugate_moduli)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1),  # Lehmer's Salem polynomial
+        (-1, -2, -2, 0, 1, 1),          # (x^3 - x - 1)(x^2 + x + 1)
+        (5, -5, 1),                     # two real roots above 1, p(1) > 0
+        (-24, 26, -9, 1),               # roots 2, 3, 4, p(1) < 0
+        (-1, 1, 1),                     # a root below -1, p(1) > 0
+        (-6, 1, 1),                     # roots 2 and -3, p(1) < 0
+        (-6, 1, -1, 1),                 # (x - 2)(x^2 + x + 3): a pair outside
+        (3, 1),                         # the root -3
+    ],
+    ids=["lehmer", "plastic_times_cyclotomic", "two_above_1", "three_above_1",
+         "below_minus_1", "below_minus_1_p1_negative", "complex_outside", "degree_1_negative"],
+)
+def test_prove_pisot_declines(coeffs) -> None:
+    p = IntPolynomial.from_coeffs(coeffs)
+    assert prove_pisot(p) is None
+    cert = certify_pisot(p)
+    assert not cert.geometry_ok
+    # a field refuses with certify_pisot's reason
+    with pytest.raises(NotPisot, match=re.escape("failed certification: " + cert.failure_reason)):
+        NumberField.from_poly(p)
+
+
+def test_ladder_moves_on_to_the_next_radius() -> None:
+    # the golden ratio's conjugate has modulus 0.618: no zero in |z| < 1/2,
+    # one in |z| < 3/4
+    assert [_disk_count([-4, -2, 1]), _disk_count([-16, -12, 9])] == [0, 1]
+    assert prove_pisot(GOLDEN).conjugate_bound == Fraction(3, 4)
+    assert prove_pisot(IntPolynomial.from_coeffs([-1, -2, 1])).conjugate_bound == Fraction(1, 2)
+
+
+def test_ladder_is_bounded(monkeypatch) -> None:
+    calls = []
+
+    def counting(coeffs):
+        calls.append(coeffs)
+        return _disk_count(coeffs)
+
+    monkeypatch.setattr(pisotlab.certify, "_disk_count", counting)
+    assert prove_pisot(IntPolynomial.from_coeffs([-6, 1, -1, 1])) is None
+    assert len(calls) == len(_RADII) == 7
+
+
+def test_prove_pisot_degree_one() -> None:
+    cert = prove_pisot(IntPolynomial.from_coeffs([-3, 1]))
+    assert cert.dominant_root == RatInterval.point(3)
+
+
+@pytest.mark.parametrize("coeffs", [(5,), (-1, -1, 2), (0, -1, 1)])
+def test_prove_pisot_input_errors_match_certify(coeffs) -> None:
+    p = IntPolynomial.from_coeffs(coeffs)
+    with pytest.raises(InvalidParameters) as proved:
+        prove_pisot(p)
+    with pytest.raises(InvalidParameters) as certified:
+        certify_pisot(p)
+    assert type(proved.value) is type(certified.value)
+    assert str(proved.value) == str(certified.value)

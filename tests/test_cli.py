@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +16,7 @@ from pisotlab.cli import build_parser, main
 from pisotlab.poly import alpha_poly
 
 GOLDEN_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "catalog_cli.jsonl"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, argv):
@@ -380,3 +385,98 @@ def test_error_exit_codes(monkeypatch, capsys, exc, code) -> None:
     monkeypatch.setattr(pisotlab.cli, "cmd_certify", fail)
     assert main(["certify", "--name", "golden"]) == code
     assert capsys.readouterr().err == "error: x\n"
+
+
+def test_suite_alpha_1_grades_level_0_against_1(capsys) -> None:
+    # alpha_1 = beta_1 = x^2 - x - 1, whose level-0 row is the Lucas numbers
+    # from n = 2 on, and L_p = 1 (mod p)
+    code, lines, _ = run(capsys, ["suite", "--alpha", "1"])
+    assert code == 0
+    assert all(o["passed"] for o in records(lines, "expectation"))
+    residues = records(lines, "level")[0]["congruence"]["residues"]
+    lucas = [2, 1]
+    while len(lucas) <= 97:
+        lucas.append(lucas[-1] + lucas[-2])
+    assert len(residues) == 25
+    for p, r in residues.items():
+        assert int(r) % int(p) == lucas[int(p)] % int(p)
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["suite", "--poly", "1,1"],
+         "x + 1 failed certification: root at -1 lies on the unit circle"),
+        (["iterate", "--poly", "-1,0,1", "--n", "1:3"],
+         "x^2 - 1 failed certification: root at 1 lies on the unit circle"),
+        (["suite", "--poly", "-6,1,1"],
+         "x^2 + x - 6 failed certification: real root at -3 outside the open unit disk"),
+        (["suite", "--poly", "0,1"], "constant term is zero; 0 would be a root"),
+    ],
+)
+def test_field_refusals_keep_certify_messages(capsys, argv, err) -> None:
+    code, _, got = run(capsys, argv)
+    assert (code, got) == (3 if "failed" in err else 2, "error: %s\n" % err)
+
+
+def _python(args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports pisotlab from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
+def test_python_dash_m_runs_the_cli() -> None:
+    argv = ["certify", "--name", "golden"]
+    proc = _python(["-m", "pisotlab", *argv], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == next(out for a, _, out in GOLDEN_COMMANDS if a == argv)
+
+
+def test_closed_stdout_pipe_ends_quietly() -> None:
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first line
+    try:
+        proc = _python(
+            ["-m", "pisotlab", "suite", "--name", "golden"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == pisotlab.cli.EXIT_BROKEN_PIPE
+
+
+def test_closed_pipe_leaves_in_memory_stdout_alone(monkeypatch) -> None:
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    redirected = []
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    monkeypatch.setattr(os, "dup2", lambda *fds: redirected.append(fds))
+    assert main(["certify", "--name", "golden"]) == pisotlab.cli.EXIT_BROKEN_PIPE
+    assert redirected == []
+
+
+_IMPORT_PROBE = """
+import contextlib, io, sys
+from pisotlab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "sympy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, imports_sympy",
+    [
+        (["suite", "--name", "golden", "--pmax", "13"], False),
+        (["iterate", "--name", "plastic", "--n", "1:40"], False),
+        # certify prints sympy's root enclosures, so it still isolates with sympy
+        (["certify", "--name", "golden"], True),
+    ],
+)
+def test_which_commands_import_sympy(argv, imports_sympy) -> None:
+    proc = _python(["-c", _IMPORT_PROBE, *argv], capture_output=True, text=True)
+    assert proc.stdout.split() == ["0", str(imports_sympy)], proc.stderr
