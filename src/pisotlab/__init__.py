@@ -12,7 +12,7 @@ generalized residue pattern of the resulting fields.
 """
 
 from .catalog import Catalog, CatalogEntry, load_catalog
-from .certify import PisotCertificate, Verdict, certify_pisot, prove_pisot, refine_root
+from .certify import PisotCertificate, Verdict, certify_pisot, refine_root
 from .conjectures import (
     BranchVerdict,
     CongruenceReport,
@@ -133,7 +133,6 @@ __all__ = [
     "modular_extend",
     "ordering_check",
     "predicted_recurrence",
-    "prove_pisot",
     "refine_root",
     "run_suite",
     "solve_log_equation",

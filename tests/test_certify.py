@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ import pisotlab.certify
 from pisotlab.catalog import load_catalog
 from pisotlab.certify import (
     _RADII,
+    PisotCertificate,
     Verdict,
     _disk_count,
     certify_pisot,
@@ -141,10 +143,17 @@ def test_certify_known_pisot(coeffs, root_lo, root_hi) -> None:
     assert cert.conjugate_bound is not None and cert.conjugate_bound < 1
 
 
+@functools.lru_cache(maxsize=None)
+def _isolated(p: IntPolynomial) -> PisotCertificate:
+    """certify_pisot(p), computed once for the tests that share it: sympy's
+    isolation is the slow part of this module."""
+    return certify_pisot(p)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_certify_alpha_beta_families(n: int) -> None:
     for p in (alpha_poly(n), beta_poly(n)):
-        cert = certify_pisot(p)
+        cert = _isolated(p)
         assert cert.verdict is Verdict.PISOT
         # the families live strictly below 2
         assert refine_root(p, cert.dominant_root, 40).hi < 2
@@ -328,25 +337,51 @@ def test_ladder_deltas_never_vanish_on_monic_input(p) -> None:
         assert _disk_count([c * a**i * b ** (n - i) for i, c in enumerate(p.coeffs)]) is not None
 
 
-FAMILY_POLYS = [(e.name, e.poly) for e in load_catalog()] + [
-    ("%s_%d" % (f.__name__[0], n), f(n)) for f in (alpha_poly, beta_poly) for n in range(1, 12)
-]
+def _families(ns) -> list[tuple[str, IntPolynomial]]:
+    return [("%s_%d" % (f.__name__[0], n), f(n)) for f in (alpha_poly, beta_poly) for n in ns]
 
 
-@pytest.mark.parametrize("poly", [p for _, p in FAMILY_POLYS], ids=[n for n, _ in FAMILY_POLYS])
+# sympy isolates alpha/beta 7..11 in ~8 s together; those are compared with
+# the mpmath oracle below instead
+ISOLATED_POLYS = [(e.name, e.poly) for e in load_catalog()] + _families(range(1, 7))
+ORACLE_POLYS = _families(range(7, 12))
+
+
+def _rung_below(r: Fraction) -> Fraction | None:
+    below = [Fraction(a, b) for a, b in _RADII if Fraction(a, b) < r]
+    return below[-1] if below else None
+
+
+@pytest.mark.parametrize("poly", [p for _, p in ISOLATED_POLYS], ids=[n for n, _ in ISOLATED_POLYS])
 def test_prove_matches_certify_on_catalog_and_families(poly) -> None:
-    proof, cert = prove_pisot(poly), certify_pisot(poly)
+    proof, cert = prove_pisot(poly), _isolated(poly)
     assert cert.verdict is Verdict.PISOT
     assert proof.verdict is Verdict.PISOT and proof.irreducibility_witness is None
     assert proof.conjugate_moduli == ()
+    assert certify_pisot(poly, enclosures=False) == proof
     assert proof.dominant_root.lo <= cert.dominant_root.lo <= cert.dominant_root.hi
     assert cert.dominant_root.hi <= proof.dominant_root.hi
     r = proof.conjugate_bound
     # r bounds every conjugate, and the ladder radius below it does not
     assert all(m.lo < r for m in cert.conjugate_moduli)
-    below = [Fraction(a, b) for a, b in _RADII if Fraction(a, b) < r]
-    if below:
-        assert any(m.hi >= below[-1] for m in cert.conjugate_moduli)
+    below = _rung_below(r)
+    if below is not None:
+        assert any(m.hi >= below for m in cert.conjugate_moduli)
+
+
+@pytest.mark.parametrize("poly", [p for _, p in ORACLE_POLYS], ids=[n for n, _ in ORACLE_POLYS])
+def test_prove_matches_root_oracle_on_larger_families(poly) -> None:
+    proof = prove_pisot(poly)
+    assert proof.verdict is Verdict.PISOT and proof.irreducibility_witness is None
+    roots, moduli = _mp_moduli(poly.coeffs)
+    theta = max(roots, key=abs)
+    assert abs(mpmath.im(theta)) < 1e-30
+    assert _mpf(proof.dominant_root.lo) <= mpmath.re(theta) <= _mpf(proof.dominant_root.hi)
+    conjugates = sorted(moduli)[:-1]
+    assert conjugates[-1] < _mpf(proof.conjugate_bound)
+    below = _rung_below(proof.conjugate_bound)
+    if below is not None:
+        assert conjugates[-1] >= _mpf(below)
 
 
 @pytest.mark.parametrize(
@@ -369,6 +404,7 @@ def test_prove_pisot_declines(coeffs) -> None:
     assert prove_pisot(p) is None
     cert = certify_pisot(p)
     assert not cert.geometry_ok
+    assert certify_pisot(p, enclosures=False) == cert
     # a field refuses with certify_pisot's reason
     with pytest.raises(NotPisot, match=re.escape("failed certification: " + cert.failure_reason)):
         NumberField.from_poly(p)
