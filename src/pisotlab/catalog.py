@@ -109,6 +109,8 @@ def _parse_entry(raw: dict, source: str) -> CatalogEntry:
     except (TypeError, KeyError) as exc:
         raise CatalogError("catalog %s: entry missing %s" % (source, exc)) from exc
     try:
+        if not isinstance(coeff_strings, list):
+            raise TypeError("coeffs must be a list, got %r" % (coeff_strings,))
         coeffs = tuple(int(c) for c in coeff_strings)
     except (TypeError, ValueError) as exc:
         raise CatalogError(

@@ -244,10 +244,7 @@ def certify_pisot(p: IntPolynomial, *, enclosures: bool = True) -> PisotCertific
         result = _classify_roots(p, eps_den)
         if result is not None:
             return _finish(p, *result)
-    raise PrecisionExhausted(
-        "root classification undecided at the finest isolation width",
-        bits=4096,
-    )
+    raise PrecisionExhausted("root classification undecided at the finest isolation width")
 
 
 def _sympy_poly(p: IntPolynomial):

@@ -45,6 +45,7 @@ from .errors import (
 from .field import NumberField
 from .limits import (
     DEFAULT_TOL,
+    IDENTITY_KINDS,
     LogEquationSpec,
     ordering_check,
     solve_log_equation,
@@ -94,14 +95,14 @@ def _parse_tol(text: str | Fraction) -> Fraction:
 
 
 def _parse_poly(text: str) -> IntPolynomial:
+    if not text.strip():
+        raise InvalidParameters("empty coefficient list")
     try:
-        coeffs = tuple(int(t.strip()) for t in text.split(",") if t.strip())
+        coeffs = tuple(int(t.strip()) for t in text.split(","))
     except ValueError as exc:
         raise InvalidParameters(
             "polynomial must be comma-separated integers, ascending: %s" % exc
         ) from exc
-    if not coeffs:
-        raise InvalidParameters("empty coefficient list")
     return IntPolynomial(coeffs)
 
 
@@ -444,21 +445,14 @@ def cmd_limits(args, out) -> int:
             out, "limits identities", {"n": [n_lo, n_hi], "bits": args.id_bits}
         )
         worst = Fraction(0)
-        for kind in ("I", "II"):
-            for n in range(n_lo, n_hi + 1):
+        for kind in IDENTITY_KINDS:
+            for n in range(n_lo, n_hi + 1) if kind in ("I", "II") else (None,):
                 r = verify_identity(kind, n, args.id_bits)
                 worst = max(worst, r.hi)
                 writer.record(
                     "identity",
                     {"kind": kind, "n": n, "residual": enc_interval(r, args.id_bits)},
                 )
-        for kind in ("alpha2_pair", "alpha3_extra", "delta_prime"):
-            r = verify_identity(kind, None, args.id_bits)
-            worst = max(worst, r.hi)
-            writer.record(
-                "identity",
-                {"kind": kind, "n": None, "residual": enc_interval(r, args.id_bits)},
-            )
         if worst >= args.tol:
             writer.error("residual", "worst identity residual %s above tol" % worst)
             writer.close("residual_failure")

@@ -120,9 +120,6 @@ class CongruenceReport:
     method: Mapping[int, str]  # prime -> METHOD_EXACT | METHOD_RECURRENCE
     branch: BranchVerdict
 
-    def used_recurrence(self) -> bool:
-        return any(m == METHOD_RECURRENCE for m in self.method.values())
-
 
 def _constant_suffix(values: Sequence) -> int:
     """Index where the longest run of equal values at the end of ``values``

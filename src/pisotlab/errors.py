@@ -32,27 +32,15 @@ class NotPisot(PisotLabError):
     """A number field was requested for a polynomial whose root geometry
     failed certification."""
 
-    def __init__(self, message: str, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
-
 
 class ExactHalfInteger(PisotLabError, ArithmeticError):
     """Nearest-integer rounding hit a value exactly halfway between two
     integers; no rounding convention is applied, the caller must decide."""
 
-    def __init__(self, message: str, value=None):
-        super().__init__(message)
-        self.value = value
-
 
 class PrecisionExhausted(PisotLabError):
     """An adaptive-precision computation reached its bit cap without reaching
     a certified decision."""
-
-    def __init__(self, message: str, bits: int | None = None):
-        super().__init__(message)
-        self.bits = bits
 
 
 class NoRecurrenceFound(PisotLabError):
@@ -77,11 +65,6 @@ class VariantInapplicable(PisotLabError):
 
 class ResidualTooLarge(PisotLabError):
     """A certified residual bound exceeded the requested tolerance."""
-
-    def __init__(self, message: str, residual=None, tolerance=None):
-        super().__init__(message)
-        self.residual = residual
-        self.tolerance = tolerance
 
 
 class NoRootInInterval(PisotLabError):

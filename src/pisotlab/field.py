@@ -87,9 +87,6 @@ class FieldElement:
     def __neg__(self) -> "FieldElement":
         return FieldElement(tuple(-c for c in self.coords))
 
-    def scale(self, c: Coord) -> "FieldElement":
-        return FieldElement(tuple(c * x for x in self.coords))
-
     def shift_constant(self, z: Coord) -> "FieldElement":
         """self + z (z rational, added to the constant coordinate)."""
         if not self.coords:
@@ -102,19 +99,12 @@ class NumberField:
 
     def __init__(self, min_poly: IntPolynomial, certificate: PisotCertificate):
         if not certificate.geometry_ok:
-            raise NotPisot(
-                f"{min_poly} failed certification: {certificate.failure_reason}",
-                certificate,
-            )
+            raise NotPisot(f"{min_poly} failed certification: {certificate.failure_reason}")
         self.min_poly = min_poly
         self.degree = min_poly.degree
         self.certificate = certificate
         self._theta_iv = certificate.dominant_root
         self._powers = [self.element((0,) * i + (1,)) for i in range(self.degree)]
-        # theta^(d+j) for j = 0..d-2, enough to reduce any product of two elements
-        self._reduction_rows = [
-            self.theta_power(self.degree + j).coords for j in range(self.degree - 1)
-        ]
 
     @classmethod
     def from_poly(cls, p: IntPolynomial | Sequence[int]) -> "NumberField":
@@ -166,15 +156,15 @@ class NumberField:
                 continue
             for j, y in enumerate(cb):
                 conv[i + j] += x * y
-        out = conv[:d] + [0] * (d - len(conv))
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c == 0:
-                continue
-            row = self._reduction_rows[k - d]
-            for i in range(d):
-                out[i] += c * row[i]
-        return FieldElement(tuple(out))
+        # fold the top coefficient back in by the minimal polynomial, top
+        # down, so every fold lands on a power still to be folded or kept
+        low = self.min_poly.coeffs[:d]
+        for k in range(2 * d - 2, d - 1, -1):
+            over = conv[k]
+            if over:
+                for j, a in enumerate(low, k - d):
+                    conv[j] -= over * a
+        return FieldElement(tuple(conv[:d]))
 
     mul = element_mul
 
@@ -249,8 +239,7 @@ class NumberField:
                 return int(v), RatInterval.point(v), 0
             if (2 * v).denominator == 1:
                 raise ExactHalfInteger(
-                    f"value {v} is exactly between {math.floor(v)} and {math.ceil(v)}",
-                    value=v,
+                    f"value {v} is exactly between {math.floor(v)} and {math.ceil(v)}"
                 )
             z = math.floor(v + Fraction(1, 2))
             return z, RatInterval.point(v), 0
@@ -265,8 +254,7 @@ class NumberField:
             bits *= 2
         raise PrecisionExhausted(
             f"rounding undecided at {CAP_BITS} bits "
-            "(value may be pathologically close to a half-integer)",
-            bits=CAP_BITS,
+            "(value may be pathologically close to a half-integer)"
         )
 
     def nearest_integer(self, a: FieldElement) -> int:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .certify import PisotCertificate, Verdict, certify_pisot, refine_root, sign_at
+from .certify import PisotCertificate, certify_pisot, refine_root, sign_at
 from .errors import (
     IncomparableAdjacent,
     InvalidParameters,
@@ -136,20 +136,20 @@ def solve_log_equation(
         raise NoRootInInterval(
             "%s collapses to a constant after removing (x-1)^%d" % (spec.label(), mult)
         )
-    if sign_at(reduced, Fraction(lo_end)) == 0 or sign_at(reduced, Fraction(hi_end)) == 0:
+    s_lo, s_hi = sign_at(reduced, lo_end), sign_at(reduced, hi_end)
+    if s_lo == 0 or s_hi == 0:
         raise NoRootInInterval(
             "%s has a root exactly on the boundary of ]%d, %d[" % (spec.label(), lo_end, hi_end)
         )
-    if sign_at(reduced, Fraction(lo_end)) * sign_at(reduced, Fraction(hi_end)) > 0:
+    if s_lo * s_hi > 0:
         raise NoRootInInterval(
             "%s has no sign change across ]%d, %d[" % (spec.label(), lo_end, hi_end)
         )
 
     cert = certify_pisot(reduced)
-    if cert.verdict is Verdict.NOT_PISOT or cert.dominant_root is None:
+    if not cert.geometry_ok:
         raise NotPisot(
-            "%s solved to a non-Pisot root: %s" % (spec.label(), cert.failure_reason),
-            certificate=cert,
+            "%s solved to a non-Pisot root: %s" % (spec.label(), cert.failure_reason)
         )
 
     root = refine_root(reduced, cert.dominant_root, DEFAULT_SOLVE_BITS + 8)
@@ -167,16 +167,13 @@ def solve_log_equation(
         if residual.lo > tol:
             raise ResidualTooLarge(
                 "%s: log-equation residual certified in %s, above tol %s"
-                % (spec.label(), residual, tol),
-                residual=residual,
-                tolerance=tol,
+                % (spec.label(), residual, tol)
             )
         bits *= 2
         if bits > SOLVE_MAX_BITS:
             raise PrecisionExhausted(
                 "residual for %s still straddles tol at %d bits"
-                % (spec.label(), SOLVE_MAX_BITS),
-                bits=SOLVE_MAX_BITS,
+                % (spec.label(), SOLVE_MAX_BITS)
             )
 
 
@@ -199,8 +196,7 @@ def _log_ratio(
     for _, arg in terms:
         if arg.lo <= 0:
             raise PrecisionExhausted(
-                "log argument enclosure %s touches zero at %d bits" % (arg, prec),
-                bits=prec,
+                "log argument enclosure %s touches zero at %d bits" % (arg, prec)
             )
     old = mpmath.iv.prec
     mpmath.iv.prec = prec
@@ -349,5 +345,5 @@ def ordering_check(count: int, precision_bits: int = 128) -> OrderingReport:
         bits *= 2
         if bits > cap:
             raise IncomparableAdjacent(
-                "chain enclosures still overlap at %d bits" % cap, bits=cap
+                "chain enclosures still overlap at %d bits" % cap
             )

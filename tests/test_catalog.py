@@ -96,6 +96,11 @@ def test_big_coefficients_roundtrip(tmp_path) -> None:
             "bad coefficient",
         ),
         (
+            # a string is not a list of digits: "11" is not x + 1
+            json.dumps({"schema_version": 1, "entries": [{"name": "g", "coeffs": "11"}]}),
+            "bad coefficient list: coeffs must be a list",
+        ),
+        (
             json.dumps(
                 {
                     "schema_version": 1,

@@ -71,7 +71,12 @@ def test_certify_unit_root_reported(capsys) -> None:
 
 
 # inputs whose error message is checked, not only the exit code
-PARSE_ERROR_TEXT = {("certify", "--poly", ""): "error: empty coefficient list"}
+PARSE_ERROR_TEXT = {
+    ("certify", "--poly", ""): "error: empty coefficient list",
+    # an empty field is refused, not dropped (which certified x - 1)
+    ("certify", "--poly", "-1,,1"): "comma-separated integers",
+    ("certify", "--poly", "-1,0,1,"): "comma-separated integers",
+}
 
 
 @pytest.mark.parametrize(
@@ -92,6 +97,8 @@ PARSE_ERROR_TEXT = {("certify", "--poly", ""): "error: empty coefficient list"}
         ["suite", "--family", "heart:3,2,1,1"],
         ["suite", "--family", "club:3,2"],
         ["certify", "--poly", ""],
+        ["certify", "--poly", "-1,,1"],
+        ["certify", "--poly", "-1,0,1,"],
     ],
 )
 def test_parse_errors_exit_2(capsys, argv) -> None:

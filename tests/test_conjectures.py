@@ -58,7 +58,7 @@ def test_congruence_scan_golden_lucas() -> None:
     assert rep.branch.kind == "plus_one"
     assert rep.branch.onset_prime == 2
     assert all(rep.centered[p] == 1 for p in rep.primes)
-    assert not rep.used_recurrence()
+    assert "recurrence_extended" not in rep.method.values()
 
 
 def test_congruence_scan_plastic_perrin() -> None:
@@ -77,7 +77,7 @@ def test_congruence_scan_recurrence_extension() -> None:
     assert rep.branch.kind == "plus_one"
     assert rep.method[29] == "exact"
     assert rep.method[31] == "recurrence_extended"
-    assert rep.used_recurrence()
+    assert "recurrence_extended" in rep.method.values()
     # the two methods must agree wherever both can run
     full = congruence_scan(GOLDEN, 0, 2, 97)
     assert full.centered == rep.centered

@@ -38,7 +38,7 @@ def test_theta_satisfies_its_equation() -> None:
         acc = field.one()
         total = field.zero()
         for c in field.min_poly.coeffs:
-            total = total + acc.scale(c)
+            total = total + FieldElement(tuple(c * x for x in acc.coords))
             acc = field.element_mul(acc, t)
         assert total.is_zero
 
@@ -78,13 +78,13 @@ def test_multiplication_commutes_with_evaluation() -> None:
 
 def test_eval_interval_against_mpmath() -> None:
     # numeric cross-check with an independent 120-digit evaluation
-    mpmath.mp.dps = 120
-    theta = mpmath.findroot(lambda x: x**2 - x - 1, 1.6)
-    e = GOLDEN.element((-3, 7))
-    iv = GOLDEN.eval_interval(e, 200)
-    val = -3 + 7 * theta
-    assert mpmath.mpf(iv.lo.numerator) / iv.lo.denominator <= val
-    assert mpmath.mpf(iv.hi.numerator) / iv.hi.denominator >= val
+    with mpmath.workdps(120):
+        theta = mpmath.findroot(lambda x: x**2 - x - 1, 1.6)
+        e = GOLDEN.element((-3, 7))
+        iv = GOLDEN.eval_interval(e, 200)
+        val = -3 + 7 * theta
+        assert mpmath.mpf(iv.lo.numerator) / iv.lo.denominator <= val
+        assert mpmath.mpf(iv.hi.numerator) / iv.hi.denominator >= val
 
 
 CATALOG_FIELDS = [NumberField.from_poly(e.poly) for e in load_catalog()]
@@ -168,19 +168,19 @@ def test_rounding_random_elements_against_direct_eval() -> None:
     # same spirit as the acceptance gate, small and fast: random elements,
     # nearest integer checked against a high-precision direct evaluation
     rng = random.Random(31)
-    mpmath.mp.dps = 80
-    roots = {
-        id(GOLDEN): mpmath.findroot(lambda x: x**2 - x - 1, 1.6),
-        id(PLASTIC): mpmath.findroot(lambda x: x**3 - x - 1, 1.3),
-    }
-    for field in (GOLDEN, PLASTIC):
-        theta = roots[id(field)]
-        for _ in range(60):
-            coords = [rng.randint(-50, 50) for _ in range(field.degree)]
-            val = sum(c * theta**i for i, c in enumerate(coords))
-            want = int(mpmath.nint(val))
-            got = field.nearest_integer(field.element(coords))
-            assert got == want
+    with mpmath.workdps(80):
+        roots = {
+            id(GOLDEN): mpmath.findroot(lambda x: x**2 - x - 1, 1.6),
+            id(PLASTIC): mpmath.findroot(lambda x: x**3 - x - 1, 1.3),
+        }
+        for field in (GOLDEN, PLASTIC):
+            theta = roots[id(field)]
+            for _ in range(60):
+                coords = [rng.randint(-50, 50) for _ in range(field.degree)]
+                val = sum(c * theta**i for i, c in enumerate(coords))
+                want = int(mpmath.nint(val))
+                got = field.nearest_integer(field.element(coords))
+                assert got == want
 
 
 def test_degree_one_field() -> None:
