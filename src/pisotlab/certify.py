@@ -7,9 +7,14 @@ unit circle.  Both routes decide on exact data, never on floating point.
 integers and returns what a field needs (verdict, theta bracket, radius).
 `certify_pisot` isolates every root with sympy's collins-krandick style
 interval machinery and encloses each conjugate modulus; the ``certify``
-command and `solve_log_equation` print those enclosures.  A caller that
-needs no enclosures (`NumberField.from_poly`) passes ``enclosures=False``:
-`certify_pisot` then returns the proof, and isolates only when it declines.
+command and the ``limits solve`` record print those enclosures.  A caller
+that needs no enclosures (`NumberField.from_poly`, `solve_log_equation`)
+passes ``enclosures=False``: `certify_pisot` then returns the proof, and
+isolates only when it declines.
+
+Certified geometry is the verdict PISOT on both routes: by Kronecker's
+argument (see the `field` module docstring) a monic p with p(0) != 0 whose
+other roots all lie inside the unit circle is irreducible.
 """
 
 from __future__ import annotations
@@ -32,12 +37,9 @@ from .primes import primes_between
 
 
 class Verdict(Enum):
-    # geometry certified; `prove_pisot` records no witness prime, since the
-    # geometry forces irreducibility (see the `field` module docstring)
+    # root geometry certified, which forces irreducibility
     PISOT = "pisot"
     NOT_PISOT = "not_pisot"
-    # root geometry certified, but no small-prime irreducibility witness
-    UNVERIFIED_IRREDUCIBILITY = "unverified_irreducibility"
 
 
 @dataclass(frozen=True)
@@ -45,10 +47,12 @@ class PisotCertificate:
     """The defaults are those of a refutation, which records only what it
     found.
 
-    A `prove_pisot` acceptance (the field path, where `certify_pisot` is
-    called with ``enclosures=False``) has verdict PISOT, no witness and no
-    moduli: ``dominant_root`` is the bracket
-    [1, 1 + max|a_i|] of theta, ``conjugate_bound`` the proved radius.
+    An isolation acceptance records the conjugate moduli and, as a printed
+    datum, the least prime below 100 modulo which p is irreducible (None
+    when there is none; the verdict does not depend on it).  A
+    `prove_pisot` acceptance has no witness and no moduli:
+    ``dominant_root`` is the bracket [1, 1 + max|a_i|] of theta,
+    ``conjugate_bound`` the proved radius.
     """
 
     verdict: Verdict = Verdict.NOT_PISOT
@@ -61,7 +65,7 @@ class PisotCertificate:
 
     @property
     def geometry_ok(self) -> bool:
-        return self.verdict in (Verdict.PISOT, Verdict.UNVERIFIED_IRREDUCIBILITY)
+        return self.verdict is Verdict.PISOT
 
 
 def sign_at(p: IntPolynomial, q: Fraction | int) -> int:
@@ -211,18 +215,16 @@ _EPS_LADDER = (None,) + tuple(1 << (6 << i) for i in range(10))
 
 
 def certify_pisot(p: IntPolynomial, *, enclosures: bool = True) -> PisotCertificate:
-    """Certify the root geometry of a monic integer polynomial and look for a
-    small-prime irreducibility witness.
+    """Certify the root geometry of a monic integer polynomial.
 
-    Returns a certificate whose verdict is PISOT (geometry certified and the
-    polynomial is irreducible modulo the recorded witness prime),
-    UNVERIFIED_IRREDUCIBILITY (geometry certified, no witness among primes
-    below 100), or NOT_PISOT.
+    Returns a certificate whose verdict is PISOT (geometry certified) or
+    NOT_PISOT.  An isolation acceptance also records the conjugate moduli
+    and a small-prime irreducibility witness, if there is one.
 
     With ``enclosures=False`` the `prove_pisot` certificate is returned when
-    the disk count proves the geometry: PISOT with no witness (the geometry
-    alone forces irreducibility) and no conjugate moduli.  Otherwise, and
-    always for a refusal, the result is that of the isolation.
+    the disk count proves the geometry: PISOT with no witness and no
+    conjugate moduli.  Otherwise, and always for a refusal, the result is
+    that of the isolation.
     """
     if not enclosures:
         proof = prove_pisot(p)
@@ -241,9 +243,9 @@ def certify_pisot(p: IntPolynomial, *, enclosures: bool = True) -> PisotCertific
         return PisotCertificate(failure_reason="a conjugate lies exactly on the unit circle")
 
     for eps_den in _EPS_LADDER:
-        result = _classify_roots(p, eps_den)
-        if result is not None:
-            return _finish(p, *result)
+        cert = _classify_roots(p, eps_den)
+        if cert is not None:
+            return cert
     raise PrecisionExhausted("root classification undecided at the finest isolation width")
 
 
@@ -253,9 +255,9 @@ def _sympy_poly(p: IntPolynomial):
     return sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"))
 
 
-def _classify_roots(p: IntPolynomial, eps_den: int | None):
-    """One isolation pass.  Returns (dominant, moduli, reason) on a decided
-    geometry, None when some root's position relative to the unit circle is
+def _classify_roots(p: IntPolynomial, eps_den: int | None) -> PisotCertificate | None:
+    """One isolation pass.  Returns the certificate once the geometry is
+    decided, None when some root's position relative to the unit circle is
     still ambiguous at this isolation width and no refutation was found."""
     import sympy
 
@@ -270,18 +272,11 @@ def _classify_roots(p: IntPolynomial, eps_den: int | None):
     undecided = False
     for (u, v), mult in real_entries:
         lo, hi = _to_fraction(u), _to_fraction(v)
-        if lo == hi:
-            # exact rational root (an integer, since p is monic and
-            # p(+-1) != 0, so |root| is 0-free and never 1)
-            r = lo
-            if r > 1:
-                dominants.append((RatInterval.point(r), mult))
-            elif abs(r) < 1:
-                moduli.extend([RatInterval.point(abs(r))] * mult)
-            else:
-                refuted = f"real root at {r} outside the open unit disk"
-        elif lo >= 1:
+        if lo >= 1:
             dominants.append((RatInterval(lo, hi), mult))
+        elif lo == hi:
+            # an exact root is an integer; p(0), p(+-1) != 0 puts it below -1
+            refuted = f"real root at {lo} outside the open unit disk"
         elif -1 < lo and hi < 1:
             moduli.extend([RatInterval(lo, hi).abs_()] * mult)
         elif hi <= -1:
@@ -304,30 +299,21 @@ def _classify_roots(p: IntPolynomial, eps_den: int | None):
         else:
             undecided = True
 
+    if refuted is None:
+        if len(dominants) > 1 or (dominants and dominants[0][1] > 1):
+            refuted = "more than one root above 1 (with multiplicity)"
+        elif undecided:
+            return None
+        elif not dominants:
+            refuted = "no real root above 1"
     if refuted is not None:
-        return None, moduli, refuted
-    if len(dominants) > 1 or (dominants and dominants[0][1] > 1):
-        return None, moduli, "more than one root above 1 (with multiplicity)"
-    if undecided:
-        return None
-    if not dominants:
-        return None, moduli, "no real root above 1"
-    return dominants[0][0], moduli, None
-
-
-def _finish(p: IntPolynomial, dominant, moduli, reason) -> PisotCertificate:
-    if reason is not None:
-        return PisotCertificate(
-            dominant_root=dominant, conjugate_moduli=tuple(moduli), failure_reason=reason
-        )
-    bound = max((m.hi for m in moduli), default=Fraction(0))
-    witness = _irreducibility_witness(p)
+        return PisotCertificate(conjugate_moduli=tuple(moduli), failure_reason=refuted)
     return PisotCertificate(
-        verdict=Verdict.PISOT if witness else Verdict.UNVERIFIED_IRREDUCIBILITY,
-        dominant_root=dominant,
+        verdict=Verdict.PISOT,
+        dominant_root=dominants[0][0],
         conjugate_moduli=tuple(moduli),
-        conjugate_bound=bound,
-        irreducibility_witness=witness,
+        conjugate_bound=max((m.hi for m in moduli), default=Fraction(0)),
+        irreducibility_witness=_irreducibility_witness(p),
     )
 
 

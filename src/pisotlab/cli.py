@@ -350,7 +350,6 @@ def cmd_suite(args, out) -> int:
     )
     if isinstance(target, LogEquationSpec):
         sol = solve_log_equation(target, args.tol)
-        writer.record("solution", _solution_payload(sol))
         field = NumberField(sol.poly, sol.certificate)
     else:
         field = NumberField.from_poly(target)
@@ -364,6 +363,9 @@ def cmd_suite(args, out) -> int:
         exact_limit=args.exact_limit,
         include_convergence=args.convergence,
     )
+    # the suite runs first, so that it refuses its inputs before any output
+    if isinstance(target, LogEquationSpec):
+        writer.record("solution", _solution_payload(sol))
     _emit_suite(writer, suite, graded=graded)
     if isinstance(target, LogEquationSpec) and target.n <= 2:
         writer.record("note", {"text": "no strictly-middle congruence levels; skipped"})
@@ -433,7 +435,8 @@ def cmd_limits(args, out) -> int:
             _solution_payload(
                 sol,
                 unit_root_multiplicity=sol.unit_root_multiplicity,
-                certificate=certificate_payload(sol.certificate),
+                # the record prints sympy's root enclosures
+                certificate=certificate_payload(certify_pisot(sol.poly)),
             ),
         )
         writer.close()

@@ -70,6 +70,11 @@ __all__ = [
 ]
 
 EXACT_LIMIT_DEFAULT = 300
+# Largest p_hi a scan takes.  Time and memory grow linearly in p_hi (the
+# sieve alone takes p_hi + 1 bytes): ``suite --name golden --pmax 1000000``
+# takes 9.4 s and 93 MB, ten times that bound 97 s and 555 MB (2 vCPU,
+# Python 3.11).
+PMAX_LIMIT = 10**6
 MIN_BRANCH_RUN = 5
 MIN_CONSTANT_RUN = 5
 SUITE_N_LO = 1  # suites tabulate exponents from 1
@@ -169,6 +174,8 @@ def congruence_scan(
         raise InvalidParameters("iterate level must be >= 0")
     if p_lo > p_hi:
         raise InvalidParameters("empty prime range")
+    if p_hi > PMAX_LIMIT:
+        raise InvalidParameters("primes are scanned up to %d, not %d" % (PMAX_LIMIT, p_hi))
     primes = tuple(primes_between(p_lo, p_hi))
     residues: dict[int, int] = {}
     centered: dict[int, int] = {}
@@ -443,9 +450,9 @@ def beta_expectations(n: int, *, max_onset_prime: int | None = None) -> Expectat
 def heart_expectations(m0: int, n: int) -> ExpectationSet:
     """Generalized pattern for degree-``n+1`` heart-family fields.
 
-    Level 0 residue ``m0``, strictly-middle levels residue 0, level
-    ``n-2``... point of care: the penultimate *congruence* level is
-    ``n-1`` (residue -1) and the top integer-part row sits at level ``n``.
+    Level 0 residue ``m0``, the strictly-middle levels 1..n-2 residue 0,
+    the last congruence level ``n-1`` residue -1, and level ``n``, the top
+    integer-part row, a tail that is constant +1 or alternates odd->+1.
     """
     return _pattern_expectations(
         "heart_%d_n%d" % (m0, n),

@@ -79,9 +79,6 @@ class RatInterval:
             return -self
         return RatInterval(Fraction(0), max(-self.lo, self.hi))
 
-    def strictly_inside(self, lo: Rat, hi: Rat) -> bool:
-        return lo < self.lo and self.hi < hi
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 

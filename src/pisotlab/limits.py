@@ -118,9 +118,10 @@ def solve_log_equation(
 ) -> LimitPointSolution:
     """Solve one log-equation spec to a certified Pisot limit point.
 
-    Builds the family polynomial, strips any (x-1) factor, certifies the
-    remaining polynomial, confirms the dominant root sits strictly inside
-    the family's promised window, and finally re-evaluates the original
+    Builds the family polynomial, strips any (x-1) factor, brackets the
+    root by a sign change across the family's window, proves the remaining
+    polynomial Pisot by the exact disk count (`certify_pisot` with
+    ``enclosures=False``), and finally re-evaluates the original
     logarithmic equation at the root.  The residual must certify below
     ``tol``; a residual certified *above* ``tol`` raises
     :class:`ResidualTooLarge` (the polynomial reduction would be wrong).
@@ -131,31 +132,15 @@ def solve_log_equation(
         raise InvalidParameters("tolerance must be positive")
     raw = spec.polynomial()
     reduced, mult = strip_unit_root(raw)
-    lo_end, hi_end = spec.root_window
     if reduced.degree < 1:
         raise NoRootInInterval(
             "%s collapses to a constant after removing (x-1)^%d" % (spec.label(), mult)
         )
-    s_lo, s_hi = sign_at(reduced, lo_end), sign_at(reduced, hi_end)
-    if s_lo == 0 or s_hi == 0:
-        raise NoRootInInterval(
-            "%s has a root exactly on the boundary of ]%d, %d[" % (spec.label(), lo_end, hi_end)
-        )
-    if s_lo * s_hi > 0:
-        raise NoRootInInterval(
-            "%s has no sign change across ]%d, %d[" % (spec.label(), lo_end, hi_end)
-        )
-
-    cert = certify_pisot(reduced)
+    root = _window_root(reduced, DEFAULT_SOLVE_BITS, spec.root_window, spec.label())
+    cert = certify_pisot(reduced, enclosures=False)
     if not cert.geometry_ok:
         raise NotPisot(
             "%s solved to a non-Pisot root: %s" % (spec.label(), cert.failure_reason)
-        )
-
-    root = refine_root(reduced, cert.dominant_root, DEFAULT_SOLVE_BITS + 8)
-    if not root.strictly_inside(Fraction(lo_end), Fraction(hi_end)):
-        raise NoRootInInterval(
-            "dominant root %s of %s falls outside ]%d, %d[" % (root, spec.label(), lo_end, hi_end)
         )
 
     bits = DEFAULT_SOLVE_BITS
@@ -241,23 +226,23 @@ def verify_identity(kind: str, n: int | None = None, precision_bits: int = 256) 
     prec = precision_bits
 
     if kind == "alpha2_pair":
-        x = _unit_window_root(alpha_poly(2), prec)
+        x = _window_root(alpha_poly(2), prec)
         r1 = _log_ratio(prec, x, [(-1, _two_minus(x))]).shift(Fraction(-5, 2)).abs_()
         r2 = _log_ratio(prec, x, [(-1, x.shift(Fraction(-1)))]).shift(Fraction(-1, 2)).abs_()
         return RatInterval(max(r1.lo, r2.lo), max(r1.hi, r2.hi))
     if kind == "I":
-        spec, x = LogEquationSpec("club", 2, n + 1), _unit_window_root(beta_poly(n), prec)
+        spec, x = LogEquationSpec("club", 2, n + 1), _window_root(beta_poly(n), prec)
         return _residual(spec, x, prec)
     if kind == "II":
-        spec, x = LogEquationSpec("heart", 2, n, 1), _unit_window_root(alpha_poly(n), prec)
+        spec, x = LogEquationSpec("heart", 2, n, 1), _window_root(alpha_poly(n), prec)
         return _residual(spec, x, prec)
     if kind == "alpha3_extra":
-        x = _unit_window_root(alpha_poly(3), prec)
-        x1 = _unit_window_root(alpha_poly(1), prec)
+        x = _window_root(alpha_poly(3), prec)
+        x1 = _window_root(alpha_poly(1), prec)
         terms = [(-1, _two_minus(x)), (+1, x - x1)]
         claim = Fraction(1)
     else:  # delta_prime
-        x = _unit_window_root(delta2_poly(), prec)
+        x = _window_root(delta2_poly(), prec)
         terms = [(-1, _two_minus(x)), (+1, x.shift(Fraction(-1)))]
         claim = Fraction(7, 2)
     return _log_ratio(prec, x, terms).shift(-claim).abs_()
@@ -267,17 +252,26 @@ def _two_minus(x: RatInterval) -> RatInterval:
     return RatInterval.point(2) - x
 
 
-def _unit_window_root(p: IntPolynomial, prec: int) -> RatInterval:
-    """The unique root of a limit-point family polynomial in ]1, 2[.
+def _window_root(
+    p: IntPolynomial, prec: int, window: tuple[int, int] = (1, 2), label: str | None = None
+) -> RatInterval:
+    """The root of p in an open window above 1, refined to width
+    2**-(prec + 8).
 
-    These polynomials have all conjugates strictly inside the unit circle,
-    so the window contains exactly one root and plain sign-change bisection
-    certifies it.
+    For a Pisot p a sign change across such a window brackets theta and no
+    conjugate, so plain bisection certifies it.  The default window ]1, 2[
+    holds the limit points of the alpha/beta families.
     """
-    lo, hi = Fraction(1), Fraction(2)
-    if sign_at(p, lo) * sign_at(p, hi) >= 0:
-        raise NoRootInInterval("no sign change for %s on ]1, 2[" % (p,))
-    return refine_root(p, RatInterval(lo, hi), prec + 8)
+    lo, hi = window
+    label = label or str(p)
+    s_lo, s_hi = sign_at(p, lo), sign_at(p, hi)
+    if s_lo == 0 or s_hi == 0:
+        raise NoRootInInterval(
+            "%s has a root exactly on the boundary of ]%d, %d[" % (label, lo, hi)
+        )
+    if s_lo * s_hi > 0:
+        raise NoRootInInterval("%s has no sign change across ]%d, %d[" % (label, lo, hi))
+    return refine_root(p, RatInterval(Fraction(lo), Fraction(hi)), prec + 8)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +323,7 @@ def ordering_check(count: int, precision_bits: int = 128) -> OrderingReport:
     cap = max(precision_bits * 16, 1 << 12)
     while True:
         entries = [
-            ChainEntry(label, p, _unit_window_root(p, bits), bits)
+            ChainEntry(label, p, _window_root(p, bits), bits)
             for label, p in chain
         ]
         gaps: list[Fraction] = []

@@ -1,7 +1,9 @@
 """Line-delimited structured reports.
 
 One JSON object per line: a header (schema version, command, echoed
-inputs), then one line per result record, then a status trailer.  Numbers
+inputs), then one line per result record, then a status trailer.  The
+header is written with the first record, error or trailer, so a command
+that writes none of them leaves its stream empty.  Numbers
 never appear as bare floats: exact integers and rationals are decimal
 strings (rationals as ``"p/q"``), and every inexact quantity is an outward
 decimal interval together with the working precision in bits.  Key order
@@ -64,13 +66,13 @@ class ReportWriter:
         self._stream = stream
         self._errors: list[dict] = []
         self._closed = False
-        self._write(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": command,
-                "inputs": inputs,
-            }
-        )
+        # written with the first line, so a command that refuses its inputs
+        # before any result leaves the stream empty
+        self._header: dict | None = {
+            "schema_version": SCHEMA_VERSION,
+            "command": command,
+            "inputs": inputs,
+        }
 
     def record(self, kind: str, payload: dict) -> None:
         rec = {"record": kind}
@@ -90,8 +92,10 @@ class ReportWriter:
         self._write({"status": status, "error_count": len(self._errors)})
 
     def _write(self, obj: dict) -> None:
-        self._stream.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-        self._stream.write("\n")
+        header, self._header = self._header, None
+        for line in (header, obj) if header else (obj,):
+            self._stream.write(json.dumps(line, sort_keys=True, separators=(",", ":")))
+            self._stream.write("\n")
 
 
 def congruence_payload(report) -> dict:

@@ -384,6 +384,30 @@ def test_prove_matches_root_oracle_on_larger_families(poly) -> None:
         assert conjugates[-1] >= _mpf(below)
 
 
+# the minimal polynomial of 5 - 4 sqrt2 - 3 sqrt3 + 2 sqrt6, which is Pisot;
+# its Galois group V4 leaves it reducible modulo every prime, so isolation
+# finds no witness prime
+V4_QUARTIC = IntPolynomial.from_coeffs([4, 8, -16, -20, 1])
+VERDICT_POLYS = (
+    [(e.name, e.poly) for e in load_catalog()] + _families(range(1, 9))
+    + [("v4_quartic", V4_QUARTIC)]
+)
+
+
+@pytest.mark.parametrize("poly", [p for _, p in VERDICT_POLYS], ids=[n for n, _ in VERDICT_POLYS])
+def test_isolation_and_disk_count_give_one_verdict(poly) -> None:
+    assert certify_pisot(poly, enclosures=False).verdict is _isolated(poly).verdict
+    assert NumberField.from_poly(poly).certificate.verdict is Verdict.PISOT
+
+
+def test_pisot_verdict_needs_no_witness_prime() -> None:
+    cert = _isolated(V4_QUARTIC)
+    assert cert.verdict is Verdict.PISOT and cert.geometry_ok
+    assert cert.irreducibility_witness is None
+    assert len(cert.conjugate_moduli) == 3 and cert.conjugate_bound < 1
+    assert set(Verdict) == {Verdict.PISOT, Verdict.NOT_PISOT}
+
+
 @pytest.mark.parametrize(
     "coeffs",
     [

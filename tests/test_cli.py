@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import pisotlab.cli
+import pisotlab.conjectures
 import pisotlab.field
 from pisotlab import errors
 from pisotlab.cli import build_parser, main
@@ -76,6 +77,10 @@ PARSE_ERROR_TEXT = {
     # an empty field is refused, not dropped (which certified x - 1)
     ("certify", "--poly", "-1,,1"): "comma-separated integers",
     ("certify", "--poly", "-1,0,1,"): "comma-separated integers",
+    ("suite", "--name", "golden", "--pmax", "100000000000"):
+        "primes are scanned up to 1000000, not 100000000000",
+    ("generate", "--target", "7", "--pmax", "100000000000"):
+        "primes are scanned up to 1000000, not 100000000000",
 }
 
 
@@ -99,12 +104,36 @@ PARSE_ERROR_TEXT = {
         ["certify", "--poly", ""],
         ["certify", "--poly", "-1,,1"],
         ["certify", "--poly", "-1,0,1,"],
+        ["suite", "--name", "golden", "--plo", "50", "--pmax", "10"],
+        ["suite", "--name", "golden", "--pmax", "1"],
+        ["suite", "--name", "golden", "--kmax", "-1"],
+        ["suite", "--name", "golden", "--nmax", "0"],
+        ["suite", "--family", "heart:3,3,1", "--pmax", "1"],
+        ["iterate", "--name", "golden", "--kmax", "-1"],
+        ["limits", "identities", "--n", "0:2"],
+        ["limits", "identities", "--bits", "10"],
+        ["limits", "ordering", "--count", "1"],
+        ["generate", "--target", "2", "--pmax", "1"],
+        ["suite", "--name", "golden", "--pmax", "100000000000"],
+        ["generate", "--target", "7", "--pmax", "100000000000"],
     ],
 )
 def test_parse_errors_exit_2(capsys, argv) -> None:
     code, lines, err = run(capsys, argv)
     assert code == 2
     assert PARSE_ERROR_TEXT.get(tuple(argv), "error:") in err
+    # refused before any output: not even the header is written
+    assert lines == []
+
+
+def test_pmax_bound_is_inclusive(capsys) -> None:
+    top = pisotlab.conjectures.PMAX_LIMIT
+    argv = ["suite", "--name", "golden", "--no-expect", "--kmax", "0", "--plo", str(top - 100)]
+    code, lines, _ = run(capsys, argv + ["--pmax", str(top)])
+    assert code == 0
+    assert records(lines, "level")[0]["congruence"]["primes"][-1] == 999983
+    code, lines, _ = run(capsys, argv + ["--pmax", str(top + 1)])
+    assert (code, lines) == (2, [])
 
 
 def test_missing_target_is_usage_error(capsys) -> None:
@@ -262,6 +291,16 @@ def test_limits_solve(capsys) -> None:
     sol = records(lines, "solution")[0]
     assert sol["poly"]["coeffs"] == ["-1", "0", "0", "-2", "1"]
     assert sol["certificate"]["verdict"] == "pisot"
+
+
+def test_certify_pisot_without_witness_prime(capsys) -> None:
+    # the minimal polynomial of 5 - 4 sqrt2 - 3 sqrt3 + 2 sqrt6: its Galois
+    # group V4 leaves it reducible modulo every prime
+    code, lines, _ = run(capsys, ["certify", "--poly", "4,8,-16,-20,1"])
+    assert code == 0
+    cert = records(lines, "certificate")[0]
+    assert cert["verdict"] == "pisot"
+    assert cert["irreducibility_witness"] is None
 
 
 def test_limits_solve_degenerate(capsys) -> None:
@@ -480,8 +519,13 @@ print(code, "sympy" in sys.modules)
     [
         (["suite", "--name", "golden", "--pmax", "13"], False),
         (["iterate", "--name", "plastic", "--n", "1:40"], False),
-        # certify prints sympy's root enclosures, so it still isolates with sympy
+        # these print sympy's root enclosures, so they still isolate with sympy
         (["certify", "--name", "golden"], True),
+        (["limits", "solve", "--family", "spade", "--m", "2", "--n", "3"], True),
+        (["generate", "--target", "7"], False),
+        (["suite", "--family", "heart:2,2,1", "--pmax", "13"], False),
+        (["limits", "identities", "--n", "1:2"], False),
+        (["limits", "ordering", "--count", "2"], False),
     ],
 )
 def test_which_commands_import_sympy(argv, imports_sympy) -> None:

@@ -74,12 +74,6 @@ def test_abs_straddling_zero() -> None:
     assert a.hi == 2
 
 
-def test_comparison_predicates() -> None:
-    a = RatInterval(Fraction(0), Fraction(1))
-    assert a.strictly_inside(Fraction(-1), Fraction(2))
-    assert not a.strictly_inside(Fraction(0), Fraction(2))
-
-
 def test_sqrt_bounds_bracket() -> None:
     rng = random.Random(9)
     for _ in range(50):

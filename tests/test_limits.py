@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from pisotlab.certify import Verdict
+import pisotlab.certify
+from pisotlab.certify import Verdict, prove_pisot
 from pisotlab.conjectures import heart_expectations, run_suite
 from pisotlab.errors import InvalidParameters, NoRootInInterval
 from pisotlab.field import NumberField
@@ -79,6 +80,28 @@ def test_solve_heart_21_matches_alpha_family() -> None:
         assert sol.poly == alpha_poly(n)
         assert sol.certificate.verdict is Verdict.PISOT
         assert sol.residual.hi < TIGHT
+
+
+def test_solver_takes_its_verdict_from_the_disk_count(monkeypatch) -> None:
+    # every spec with m <= 7, n <= 8 is proved without sympy's isolation
+    def no_isolation(p):
+        raise AssertionError("sympy isolation ran on %s" % p)
+
+    monkeypatch.setattr(pisotlab.certify, "_sympy_poly", no_isolation)
+    solved = 0
+    for m in range(2, 8):
+        for n in range(1, 9):
+            specs = [LogEquationSpec("club", m, n), LogEquationSpec("spade", m, n)]
+            specs += [LogEquationSpec("heart", m, n, l) for l in range(1, m)]
+            for spec in specs:
+                if (spec.family, spec.m, spec.n) == ("club", 2, 1):
+                    continue  # collapses to a constant
+                sol = solve_log_equation(spec, TIGHT)
+                assert sol.certificate == prove_pisot(sol.poly)
+                lo, hi = spec.root_window
+                assert lo < sol.root.lo and sol.root.hi < hi
+                solved += 1
+    assert solved == 263
 
 
 def test_solve_spade_23() -> None:

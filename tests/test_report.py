@@ -77,6 +77,16 @@ def test_writer_errors_counted() -> None:
     assert trailer == {"status": "rounding_failure", "error_count": 1}
 
 
+def test_writer_header_waits_for_the_first_line() -> None:
+    buf = io.StringIO()
+    w = ReportWriter(buf, "suite", {"pmax": 1})
+    assert buf.getvalue() == ""  # a command refused here prints nothing
+    w.error("scan", "empty prime range")
+    header, err = _lines(buf)
+    assert header["inputs"] == {"pmax": 1}
+    assert err["error"] == "scan"
+
+
 def test_writer_close_idempotent() -> None:
     buf = io.StringIO()
     w = ReportWriter(buf, "suite", {})
