@@ -15,8 +15,8 @@ from importlib import resources
 from pathlib import Path
 
 from .conjectures import ExpectationSet, LevelExpectation
-from .errors import CatalogError
-from .poly import IntPolynomial
+from .errors import CatalogError, InvalidParameters
+from .poly import IntPolynomial, read_int
 
 __all__ = ["CatalogEntry", "Catalog", "load_catalog", "DEFAULT_NAMES"]
 
@@ -111,12 +111,11 @@ def _parse_entry(raw: dict, source: str) -> CatalogEntry:
     try:
         if not isinstance(coeff_strings, list):
             raise TypeError("coeffs must be a list, got %r" % (coeff_strings,))
-        coeffs = tuple(int(c) for c in coeff_strings)
-    except (TypeError, ValueError) as exc:
+        poly = IntPolynomial.from_coeffs(coeff_strings)
+    except (TypeError, InvalidParameters) as exc:
         raise CatalogError(
             "catalog %s entry %r: bad coefficient list: %s" % (source, name, exc)
         ) from exc
-    poly = IntPolynomial(coeffs)
     if not poly.is_monic:
         raise CatalogError("catalog %s entry %r: polynomial is not monic" % (source, name))
     expectations = None
@@ -125,14 +124,27 @@ def _parse_entry(raw: dict, source: str) -> CatalogEntry:
     return CatalogEntry(name, poly, raw.get("provenance", ""), expectations)
 
 
+def _items(value, read) -> tuple:
+    # a string is not the list of its characters, nor an object of its keys
+    if not isinstance(value, list):
+        raise TypeError("%r is not iterable as a list" % (value,))
+    return tuple(read(v) for v in value)
+
+
+def _kind(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("%r is not a string" % (value,))
+    return value
+
+
 # optional expectation keys and the converter of each present value; a
 # null recurrence_coeffs means none
 _EXPECTATION_KEYS = {
-    "congruence": int,
-    "max_onset_prime": int,
-    "constant": tuple,
-    "max_onset_index": int,
-    "recurrence_coeffs": lambda rec: None if rec is None else tuple(int(c) for c in rec),
+    "congruence": read_int,
+    "max_onset_prime": read_int,
+    "constant": lambda kinds: _items(kinds, _kind),
+    "max_onset_index": read_int,
+    "recurrence_coeffs": lambda rec: None if rec is None else _items(rec, read_int),
 }
 
 
@@ -145,14 +157,14 @@ def _parse_expectations(name: str, raw: dict, source: str) -> ExpectationSet:
     levels = []
     for item in items:
         try:
-            level = int(item["level"])
+            level = read_int(item["level"])
             optional = {
                 key: convert(item[key])
                 for key, convert in _EXPECTATION_KEYS.items()
                 if key in item
             }
             levels.append(LevelExpectation(level, **optional))
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, InvalidParameters) as exc:
             raise CatalogError(
                 "catalog %s entry %r: bad expectation item %r (%s)"
                 % (source, name, item, exc)

@@ -98,12 +98,11 @@ def _parse_poly(text: str) -> IntPolynomial:
     if not text.strip():
         raise InvalidParameters("empty coefficient list")
     try:
-        coeffs = tuple(int(t.strip()) for t in text.split(","))
-    except ValueError as exc:
+        return IntPolynomial.from_coeffs(text.split(","))
+    except InvalidParameters as exc:
         raise InvalidParameters(
             "polynomial must be comma-separated integers, ascending: %s" % exc
         ) from exc
-    return IntPolynomial(coeffs)
 
 
 def _parse_range(text: str, what: str) -> tuple[int, int]:

@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import (
-    ExactHalfInteger,
     IncomparableMagnitudes,
     InvalidParameters,
     NoRecurrenceFound,
@@ -42,6 +41,7 @@ from .recurrence import (
 )
 from .transform import (
     COMPARATOR_CAP_BITS,
+    EXPONENT_LIMIT,
     IterateTable,
     build_table,
     frac_magnitudes,
@@ -176,6 +176,9 @@ def congruence_scan(
         raise InvalidParameters("empty prime range")
     if p_hi > PMAX_LIMIT:
         raise InvalidParameters("primes are scanned up to %d, not %d" % (PMAX_LIMIT, p_hi))
+    exact_top = min(p_hi, exact_limit)
+    if exact_top > EXPONENT_LIMIT:
+        raise InvalidParameters("exponents run up to %d, not %d" % (EXPONENT_LIMIT, exact_top))
     primes = tuple(primes_between(p_lo, p_hi))
     residues: dict[int, int] = {}
     centered: dict[int, int] = {}
@@ -571,7 +574,7 @@ def run_suite(
                 table=table,
                 recurrence=integral,
             )
-        except (RecurrenceUnavailable, ExactHalfInteger, PrecisionExhausted) as exc:
+        except (RecurrenceUnavailable, PrecisionExhausted) as exc:
             rep.congruence_error = "%s: %s" % (type(exc).__name__, exc)
 
         rep.constant = constant_detect(table, k)

@@ -80,9 +80,7 @@ class FieldElement:
         return FieldElement(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        if len(self.coords) != len(other.coords):
-            raise InvalidParameters("coordinate length mismatch")
-        return FieldElement(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self + -other
 
     def __neg__(self) -> "FieldElement":
         return FieldElement(tuple(-c for c in self.coords))
@@ -104,7 +102,7 @@ class NumberField:
         self.degree = min_poly.degree
         self.certificate = certificate
         self._theta_iv = certificate.dominant_root
-        self._powers = [self.element((0,) * i + (1,)) for i in range(self.degree)]
+        self._powers = [self.one()]
 
     @classmethod
     def from_poly(cls, p: IntPolynomial | Sequence[int]) -> "NumberField":
@@ -170,18 +168,13 @@ class NumberField:
 
     def theta_power(self, n: int) -> FieldElement:
         """Coordinates of theta**n (n >= 0), read from the list theta^0,
-        theta^1, ..., which grows by one multiplication by theta per missing
+        theta^1, ..., which grows by one product with theta per missing
         power."""
         if n < 0:
             raise InvalidParameters("negative power")
         powers = self._powers
         while len(powers) <= n:
-            # shift up, fold the top coordinate back in by the minimal
-            # polynomial (for d = 1 nothing is shifted)
-            prev = powers[-1].coords
-            over, shifted = prev[-1], (0,) + prev[:-1]
-            folded = (s - over * a for s, a in zip(shifted, self.min_poly.coeffs))
-            powers.append(FieldElement(tuple(folded)))
+            powers.append(self.element_mul(self.theta(), powers[-1]))
         return powers[n]
 
     # -- numeric enclosures ---------------------------------------------------
@@ -204,7 +197,7 @@ class NumberField:
         if len(a.coords) != self.degree:
             raise InvalidParameters("element does not belong to this field")
         if a.is_rational:
-            return RatInterval.point(Fraction(a.coords[0]) if a.coords else Fraction(0))
+            return RatInterval.point(Fraction(a.coords[0]))
         tv = self.theta_enclosure(precision_bits)
         # s follows the cached enclosure, which may be far tighter than
         # asked for; at this s its dyadic endpoints lie on the grid exactly
@@ -227,23 +220,14 @@ class NumberField:
         """Nearest integer to the value of ``a`` plus the enclosure that
         certified it and the theta precision used.
 
-        Rational elements round exactly (0 precision bits); an exact
-        half-integer raises ExactHalfInteger since no nearest integer exists.
-        Irrational elements use adaptive precision: the enclosure must
-        exclude both neighbouring half-integers before the answer is
-        accepted.
+        One integer test decides every value: the enclosure must exclude both
+        neighbouring half-integers, and the theta precision doubles until it
+        does.  A rational value has its point as enclosure at 0 bits, so it
+        is decided at once, unless it is an exact half-integer, which has no
+        nearest integer and raises ExactHalfInteger.
         """
-        if a.is_rational:
-            v = a.rational_value
-            if v.denominator == 1:
-                return int(v), RatInterval.point(v), 0
-            if (2 * v).denominator == 1:
-                raise ExactHalfInteger(
-                    f"value {v} is exactly between {math.floor(v)} and {math.ceil(v)}"
-                )
-            z = math.floor(v + Fraction(1, 2))
-            return z, RatInterval.point(v), 0
-        bits = self._initial_bits(a)
+        size = max((abs(c.numerator) for c in a.coords), default=0).bit_length()
+        bits = 0 if a.is_rational else START_BITS + size
         while bits <= CAP_BITS:
             e = self.eval_interval(a, bits)
             # z = floor(mid + 1/2), decided in integers on the endpoints
@@ -251,6 +235,9 @@ class NumberField:
             z = (ln * hd + hn * ld + ld * hd) // (2 * ld * hd)
             if 2 * ln > (2 * z - 1) * ld and 2 * hn < (2 * z + 1) * hd:
                 return z, e, bits
+            if e.is_point:
+                # a point is the exact value, and it lies on z - 1/2
+                raise ExactHalfInteger(f"value {e.lo} is exactly between {z - 1} and {z}")
             bits *= 2
         raise PrecisionExhausted(
             f"rounding undecided at {CAP_BITS} bits "
@@ -259,12 +246,3 @@ class NumberField:
 
     def nearest_integer(self, a: FieldElement) -> int:
         return self.round_with_enclosure(a)[0]
-
-    def _initial_bits(self, a: FieldElement) -> int:
-        # condition the first pass on coordinate size so the loop usually
-        # succeeds immediately
-        size = max(
-            (abs(c.numerator if isinstance(c, Fraction) else c) for c in a.coords),
-            default=1,
-        )
-        return START_BITS + max(0, size.bit_length())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DegreeMismatch, InvalidParameters, NonExactDivision
 
@@ -27,6 +27,18 @@ class PairRelation(Enum):
     ANTI_RECIPROCAL = "anti_reciprocal"
     SEMI_RECIPROCAL = "semi_reciprocal"
     NONE = "none"
+
+
+def read_int(value) -> int:
+    """An integer from outside input: an int (not a bool) or a decimal string."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        try:
+            return int(value)
+        except ValueError as exc:
+            raise InvalidParameters(str(exc)) from None
+    raise InvalidParameters(
+        "int() argument must be an integer or a decimal string, not %r" % (value,)
+    )
 
 
 def _strip(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -59,8 +71,8 @@ class IntPolynomial:
                 raise InvalidParameters(f"integer coefficients required, got {c!r}")
 
     @classmethod
-    def from_coeffs(cls, coeffs: Sequence[int]) -> "IntPolynomial":
-        return cls(_strip(int(c) for c in coeffs))
+    def from_coeffs(cls, coeffs: Iterable[int | str]) -> "IntPolynomial":
+        return cls(_strip(read_int(c) for c in coeffs))
 
     @classmethod
     def zero(cls) -> "IntPolynomial":

@@ -121,6 +121,15 @@ def test_big_coefficients_roundtrip(tmp_path) -> None:
             ),
             "duplicate",
         ),
+        # a float or a bool is no integer: not x^2 - x - 1, not x^2 - 3x + 1
+        (
+            json.dumps({"schema_version": 1, "entries": [{"name": "f", "coeffs": [-1.7, -1, 1]}]}),
+            "bad coefficient list: .*a decimal string, not -1.7",
+        ),
+        (
+            json.dumps({"schema_version": 1, "entries": [{"name": "b", "coeffs": [True, -3, 1]}]}),
+            "bad coefficient list: .*a decimal string, not True",
+        ),
     ],
 )
 def test_malformed_catalogs(tmp_path, doc, fragment) -> None:
@@ -200,6 +209,16 @@ def test_expectation_items_convert_every_key(tmp_path) -> None:
         # an item that is not an object is rejected like any other
         ("oops", "string indices"),
         (7, "not subscriptable"),
+        # floats and bools are refused, not truncated into a passing grade
+        ({"level": 0, "congruence": 1.9}, "not 1.9"),
+        ({"level": 0, "congruence": 1, "max_onset_prime": 2.5}, "not 2.5"),
+        ({"level": 1.7, "congruence": 1}, "not 1.7"),
+        ({"level": True, "congruence": 1}, "not True"),
+        ({"level": 0, "recurrence_coeffs": [1.5]}, "not 1.5"),
+        # a string is not the list of its characters
+        ({"level": 0, "constant": "alt_odd_plus"}, "'alt_odd_plus' is not iterable as a list"),
+        ({"level": 0, "recurrence_coeffs": "12"}, "'12' is not iterable as a list"),
+        ({"level": 0, "constant": [1]}, "1 is not a string"),
     ],
 )
 def test_malformed_expectation_items(tmp_path, item, message) -> None:
@@ -220,3 +239,19 @@ def test_malformed_expected_patterns(tmp_path, capsys, patterns) -> None:
         load_catalog(path)
     assert main(["--catalog", str(path), "certify", "--name", "g"]) == 2
     assert "bad expected_patterns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, argv",
+    [
+        ({"coeffs": [-1.7, -1, 1]}, ["certify", "--name", "g"]),
+        ({"coeffs": ["-1", "-1", "1"], "expected_patterns": {"levels": [
+            {"level": 0, "congruence": 1.9, "max_onset_prime": 2.5}]}}, ["suite", "--name", "g"]),
+    ],
+)
+def test_non_integer_catalog_fields_exit_2(tmp_path, capsys, entry, argv) -> None:
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"schema_version": 1, "entries": [{"name": "g", **entry}]}))
+    assert main(["--catalog", str(path)] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "int() argument must be an integer" in err

@@ -12,6 +12,7 @@ import pytest
 import pisotlab.cli
 import pisotlab.conjectures
 import pisotlab.field
+import pisotlab.transform
 from pisotlab import errors
 from pisotlab.cli import build_parser, main
 from pisotlab.poly import alpha_poly
@@ -81,6 +82,14 @@ PARSE_ERROR_TEXT = {
         "primes are scanned up to 1000000, not 100000000000",
     ("generate", "--target", "7", "--pmax", "100000000000"):
         "primes are scanned up to 1000000, not 100000000000",
+    ("iterate", "--name", "golden", "--n", "1:6001"): "exponents run up to 6000, not 6001",
+    ("suite", "--name", "golden", "--nmax", "6001"): "exponents run up to 6000, not 6001",
+    ("--exact-limit", "6001", "suite", "--name", "golden", "--pmax", "6001"):
+        "exponents run up to 6000, not 6001",
+    ("--exact-limit", "6001", "suite", "--name", "golden", "--nmax", "60", "--pmax", "6001"):
+        "exponents run up to 6000, not 6001",
+    ("--exact-limit", "6001", "generate", "--target", "7", "--pmax", "6001"):
+        "exponents run up to 6000, not 6001",
 }
 
 
@@ -116,6 +125,11 @@ PARSE_ERROR_TEXT = {
         ["generate", "--target", "2", "--pmax", "1"],
         ["suite", "--name", "golden", "--pmax", "100000000000"],
         ["generate", "--target", "7", "--pmax", "100000000000"],
+        ["iterate", "--name", "golden", "--n", "1:6001"],
+        ["suite", "--name", "golden", "--nmax", "6001"],
+        ["--exact-limit", "6001", "suite", "--name", "golden", "--pmax", "6001"],
+        ["--exact-limit", "6001", "suite", "--name", "golden", "--nmax", "60", "--pmax", "6001"],
+        ["--exact-limit", "6001", "generate", "--target", "7", "--pmax", "6001"],
     ],
 )
 def test_parse_errors_exit_2(capsys, argv) -> None:
@@ -133,6 +147,24 @@ def test_pmax_bound_is_inclusive(capsys) -> None:
     assert code == 0
     assert records(lines, "level")[0]["congruence"]["primes"][-1] == 999983
     code, lines, _ = run(capsys, argv + ["--pmax", str(top + 1)])
+    assert (code, lines) == (2, [])
+
+
+def test_exponent_bound_is_inclusive(capsys) -> None:
+    top = pisotlab.transform.EXPONENT_LIMIT
+    argv = ["iterate", "--name", "golden", "--kmax", "0", "--n"]
+    code, lines, _ = run(capsys, argv + ["%d:%d" % (top, top)])
+    assert code == 0
+    assert list(records(lines, "row")[0]["values"]) == [str(top)]
+    code, lines, _ = run(capsys, argv + ["%d:%d" % (top, top + 1)])
+    assert (code, lines) == (2, [])
+    # the exact range of a scan, min(--pmax, --exact-limit), has the same edge
+    argv = ["suite", "--name", "golden", "--no-expect", "--kmax", "0", "--nmax", "60",
+            "--plo", str(top - 100)]
+    code, lines, _ = run(capsys, ["--exact-limit", str(top)] + argv + ["--pmax", str(top)])
+    assert code == 0
+    assert set(records(lines, "level")[0]["congruence"]["method"].values()) == {"exact"}
+    code, lines, _ = run(capsys, ["--exact-limit", str(top + 1)] + argv + ["--pmax", str(top + 1)])
     assert (code, lines) == (2, [])
 
 

@@ -26,7 +26,7 @@ from pisotlab.field import NumberField
 from pisotlab.poly import IntPolynomial, PairRelation, SymmetryClass, alpha_poly
 from pisotlab.primes import primes_between
 from pisotlab.recurrence import Recurrence
-from pisotlab.transform import build_table
+from pisotlab.transform import EXPONENT_LIMIT, build_table
 
 GOLDEN = NumberField.from_poly([-1, -1, 1])
 PLASTIC = NumberField.from_poly([-1, -1, 0, 1])
@@ -116,6 +116,17 @@ def test_congruence_scan_needs_recurrence_beyond_limit() -> None:
 def test_congruence_scan_bad_range() -> None:
     with pytest.raises(InvalidParameters):
         congruence_scan(GOLDEN, 0, 50, 10)
+
+
+def test_congruence_scan_exact_range_is_bounded() -> None:
+    # the exact range is min(p_hi, exact_limit), so either one may pass the bound
+    top = EXPONENT_LIMIT
+    rep = congruence_scan(GOLDEN, 0, top - 100, top, exact_limit=top + 1)
+    assert set(rep.method.values()) == {"exact"}
+    assert rep.primes == tuple(primes_between(top - 100, top))
+    assert congruence_scan(GOLDEN, 0, 2, 97, exact_limit=10**9).branch.value == 1
+    with pytest.raises(InvalidParameters, match="exponents run up to"):
+        congruence_scan(GOLDEN, 0, top - 100, top + 1, exact_limit=top + 1)
 
 
 def test_constant_detect_golden_alternating() -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -27,6 +28,12 @@ def test_element_padding_and_rationality() -> None:
     assert not GOLDEN.theta().is_rational
 
 
+def test_from_poly_refuses_a_float_coefficient() -> None:
+    # -3.9 is not truncated to -3, which built Q(3)
+    with pytest.raises(InvalidParameters, match="not -3.9"):
+        NumberField.from_poly([-3.9, 1])
+
+
 def test_too_many_coordinates_rejected() -> None:
     with pytest.raises(InvalidParameters):
         GOLDEN.element((1, 2, 3))
@@ -41,14 +48,6 @@ def test_theta_satisfies_its_equation() -> None:
             total = total + FieldElement(tuple(c * x for x in acc.coords))
             acc = field.element_mul(acc, t)
         assert total.is_zero
-
-
-def test_theta_power_matches_repeated_multiplication() -> None:
-    for field in (GOLDEN, PLASTIC, DELTA2):
-        acc = field.one()
-        for n in range(25):
-            assert field.theta_power(n) == acc
-            acc = field.element_mul(acc, field.theta())
 
 
 def test_theta_power_cache_random_access() -> None:
@@ -94,17 +93,37 @@ COORD = st.one_of(
 )
 
 
-def _powers_by_mul(field: NumberField, count: int) -> list[FieldElement]:
-    acc, out = field.one(), []
+def _powers_by_shift(field: NumberField, count: int) -> list[tuple[int, ...]]:
+    """theta^0 .. theta^(count-1) by shift-and-fold, sharing no code with
+    element_mul: shift the coordinates up one place and fold the top one
+    back in by the minimal polynomial."""
+    d, low = field.degree, field.min_poly.coeffs[: field.degree]
+    acc = (1,) + (0,) * (d - 1)
+    out = []
     for _ in range(count):
         out.append(acc)
-        acc = field.element_mul(acc, field.theta())
+        over, shifted = acc[-1], (0,) + acc[:-1]
+        acc = tuple(s - over * a for s, a in zip(shifted, low))
     return out
 
 
 # every catalog field and a degree-1 field, whose theta is the integer 2
 POWER_FIELDS = CATALOG_FIELDS + [NumberField.from_poly([-2, 1])]
-POWERS_BY_MUL = [_powers_by_mul(f, 121) for f in POWER_FIELDS]
+POWERS_BY_SHIFT = [_powers_by_shift(f, 121) for f in POWER_FIELDS]
+
+
+def test_theta_power_matches_repeated_multiplication() -> None:
+    # theta^n evaluated at an independent 60-digit mpmath root agrees with
+    # mpmath's theta**n, relatively to 40 digits
+    for field in POWER_FIELDS:
+        with mpmath.workdps(60):
+            coeffs = [mpmath.mpf(c) for c in reversed(field.min_poly.coeffs)]
+            roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
+            theta = max(mpmath.re(r) for r in roots)
+            for n in range(60):
+                coords = field.theta_power(n).coords
+                value = sum(c * theta**j for j, c in enumerate(coords))
+                assert abs(value - theta**n) <= mpmath.mpf(10) ** -40 * theta**n, (field, n)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -113,7 +132,7 @@ def test_theta_power_matches_repeated_multiplication_in_any_order(i, ns) -> None
     # a fresh field on the same certificate, asked for powers out of order
     field = NumberField(POWER_FIELDS[i].min_poly, POWER_FIELDS[i].certificate)
     for n in ns + [120]:
-        assert field.theta_power(n) == POWERS_BY_MUL[i][n]
+        assert field.theta_power(n).coords == POWERS_BY_SHIFT[i][n]
 
 
 # From 16 bits on, every catalog theta enclosure has dyadic endpoints (the
@@ -193,3 +212,58 @@ def test_degree_one_field() -> None:
 def test_shift_constant() -> None:
     e = GOLDEN.theta().shift_constant(-2)
     assert e.coords == (-2, 1)
+    assert GOLDEN.theta() - GOLDEN.constant(2) == e
+    with pytest.raises(InvalidParameters, match="length mismatch"):
+        GOLDEN.theta() - PLASTIC.theta()
+
+
+def _rational_rounding_reference(v: Fraction) -> tuple[int, RatInterval, int]:
+    """Rounding of a rational value by rules of its own: an integer is
+    itself, a half-integer is refused, anything else is floor(v + 1/2), all
+    at 0 bits.  The reference of round_with_enclosure's one integer test."""
+    if v.denominator == 1:
+        return int(v), RatInterval.point(v), 0
+    if (2 * v).denominator == 1:
+        raise ExactHalfInteger(
+            f"value {v} is exactly between {math.floor(v)} and {math.ceil(v)}"
+        )
+    return math.floor(v + Fraction(1, 2)), RatInterval.point(v), 0
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ExactHalfInteger as exc:
+        return type(exc), str(exc)
+
+
+RATIONALS = st.one_of(
+    st.integers(-(10**30), 10**30).map(Fraction),
+    st.integers(-(10**30), 10**30).map(lambda k: Fraction(2 * k + 1, 2)),
+    st.fractions(max_denominator=10**6),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(POWER_FIELDS), RATIONALS)
+def test_rational_rounding_matches_the_rational_reference(field, v) -> None:
+    got = _outcome(lambda: field.round_with_enclosure(field.constant(v)))
+    assert got == _outcome(lambda: _rational_rounding_reference(v))
+
+
+INTEGER_ELEMENTS = st.tuples(
+    st.sampled_from(CATALOG_FIELDS),
+    st.lists(st.one_of(st.just(0), st.integers(-(2**64), 2**64)), min_size=6, max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(INTEGER_ELEMENTS)
+def test_integer_coordinates_never_give_a_half_integer(drawn) -> None:
+    # rational: an integer; irrational: theta has degree d, so the value is
+    # no half-integer either, and the one integer test decides it
+    field, coords = drawn
+    a = field.element(coords[: field.degree])
+    z, enclosure, bits = field.round_with_enclosure(a)
+    assert enclosure.lo > z - Fraction(1, 2) and enclosure.hi < z + Fraction(1, 2)
+    assert (bits == 0) == a.is_rational

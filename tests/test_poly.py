@@ -38,6 +38,18 @@ def test_non_integer_coefficients_rejected() -> None:
         IntPolynomial((1, 2.5))  # type: ignore[arg-type]
 
 
+@pytest.mark.parametrize("coeffs", [[-1.7, 1], [True, -3, 1], [-1, None, 1], ["1.0", 1], [" ", 1]])
+def test_from_coeffs_refuses_what_is_not_an_integer(coeffs) -> None:
+    # a float or a bool is refused, never truncated to x - 1 or x^2 - 3x + 1
+    with pytest.raises(InvalidParameters, match=r"int\(\)"):
+        IntPolynomial.from_coeffs(coeffs)
+
+
+def test_from_coeffs_reads_ints_and_decimal_strings() -> None:
+    assert IntPolynomial.from_coeffs(["-1", " -1 ", 1]).coeffs == (-1, -1, 1)
+    assert IntPolynomial.from_coeffs([str(-(10**40)), "0", "1", "0"]).coeffs == (-(10**40), 0, 1)
+
+
 def test_str_rendering() -> None:
     assert str(IntPolynomial.from_coeffs([-1, -1, 1])) == "x^2 - x - 1"
     assert str(IntPolynomial.from_coeffs([1, 0, -2, -1, 1])) == "x^4 - x^3 - 2x^2 + 1"

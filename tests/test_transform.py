@@ -8,7 +8,7 @@ from pisotlab.catalog import load_catalog
 from pisotlab.errors import InvalidParameters, PisotLabError
 from pisotlab.field import START_BITS, NumberField
 from pisotlab.poly import IntPolynomial, alpha_poly
-from pisotlab.transform import build_table, frac_magnitudes, iterate_column
+from pisotlab.transform import EXPONENT_LIMIT, build_table, frac_magnitudes, iterate_column
 
 GOLDEN = NumberField.from_poly([-1, -1, 1])
 SILVER = NumberField.from_poly([-1, -2, 1])
@@ -93,6 +93,14 @@ def test_build_table_argument_validation() -> None:
         build_table(GOLDEN, 0, 7, 5)
 
 
+def test_exponent_bound_is_inclusive() -> None:
+    top = EXPONENT_LIMIT
+    assert build_table(GOLDEN, 0, top, top).u(0, top) > 0
+    message = "exponents run up to %d, not %d" % (top, top + 1)
+    with pytest.raises(InvalidParameters, match=message):
+        build_table(GOLDEN, 0, top + 1, top + 1)
+
+
 def test_alpha2_table_head() -> None:
     # degree-3 field of x^3 - 2x^2 + x - 1, root 1.7548776...; row checked
     # against a 60-digit direct evaluation of nint(theta^n)
@@ -133,10 +141,9 @@ def test_frac_magnitudes_exact_zero_ties() -> None:
 
 
 def test_failures_recorded_not_raised() -> None:
-    # a field containing exact half-integers in a row: engineered via the
-    # degree-1 field on x - 2, where theta^n (x - [x]) is always exact zero,
-    # so no failure occurs; instead check the failure path with a rational
-    # half directly
+    # the degree-1 field on x - 2, where every iterate is rational: each is an
+    # integer (integer coordinates), so level 1 is exactly zero and no cell
+    # fails
     f2 = NumberField.from_poly([-2, 1])
     table = build_table(f2, 1, 1, 6)
     assert not table.failures
