@@ -33,8 +33,6 @@ from .conjectures import (
 from .errors import (
     CatalogError,
     ExactHalfInteger,
-    IncomparableAdjacent,
-    IncomparableMagnitudes,
     InvalidParameters,
     NoRecurrenceFound,
     NoRootInInterval,
@@ -87,8 +85,6 @@ __all__ = [
     "ExactHalfInteger",
     "ExpectationSet",
     "FieldElement",
-    "IncomparableAdjacent",
-    "IncomparableMagnitudes",
     "IntPolynomial",
     "InvalidParameters",
     "IterateCell",

@@ -25,14 +25,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    InvalidParameters,
-    NotMonic,
-    PrecisionExhausted,
-    ZeroConstantTerm,
-)
+from .errors import InvalidParameters, PrecisionExhausted
 from .intervals import RatInterval, sqrt_lower, sqrt_upper
-from .poly import IntPolynomial
+from .poly import DEGREE_LIMIT, IntPolynomial
 from .primes import primes_between
 
 
@@ -101,9 +96,10 @@ def refine_root(p: IntPolynomial, iv: RatInterval, bits: int) -> RatInterval:
     s_lo = sign_at(p, lo)
     if s_lo == 0:
         return RatInterval.point(lo)
-    if sign_at(p, hi) == 0:
+    s_hi = sign_at(p, hi)
+    if s_hi == 0:
         return RatInterval.point(hi)
-    if s_lo == sign_at(p, hi):
+    if s_lo == s_hi:
         raise InvalidParameters("interval endpoints do not bracket a sign change")
     ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     while True:
@@ -130,10 +126,12 @@ def refine_root(p: IntPolynomial, iv: RatInterval, bits: int) -> RatInterval:
 def _check_input(p: IntPolynomial) -> None:
     if p.degree < 1:
         raise InvalidParameters("certification needs degree >= 1")
+    if p.degree > DEGREE_LIMIT:
+        raise InvalidParameters("degree is at most %d, not %d" % (DEGREE_LIMIT, p.degree))
     if not p.is_monic:
-        raise NotMonic(f"polynomial must be monic, leading term {p.leading}")
+        raise InvalidParameters(f"polynomial must be monic, leading term {p.leading}")
     if p.coeff(0) == 0:
-        raise ZeroConstantTerm("constant term is zero; 0 would be a root")
+        raise InvalidParameters("constant term is zero; 0 would be a root")
 
 
 def _disk_count(coeffs: Sequence[int]) -> int | None:

@@ -10,9 +10,9 @@ Commands:
                    residue class
 
 Exit codes: 0 success (including pure findings), 2 unparseable input,
-3 certified not-Pisot, 4 rounding/precision failure, 5 a graded expectation
-failed, 6 residual gate or chain-separation failure, 141 stdout closed by
-its reader (no traceback).
+3 certified not-Pisot, 4 a precision cap or ``--bits`` too low to certify,
+5 a graded expectation failed, 6 a residual certified above ``--tol`` or no
+root in the family window, 141 stdout closed by its reader (no traceback).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .conjectures import (
     run_suite,
 )
 from .errors import (
-    CatalogError,
     ExactHalfInteger,
     InvalidParameters,
     NoRootInInterval,
@@ -51,7 +50,7 @@ from .limits import (
     solve_log_equation,
     verify_identity,
 )
-from .poly import IntPolynomial, alpha_poly, beta_poly
+from .poly import DEGREE_LIMIT, IntPolynomial, alpha_poly, beta_poly
 from .report import (
     ReportWriter,
     certificate_payload,
@@ -75,7 +74,6 @@ EXIT_BROKEN_PIPE = 141
 
 # first match wins, as in an except chain
 _EXIT_CODES = (
-    ((InvalidParameters, CatalogError), EXIT_PARSE),
     (NotPisot, EXIT_NOT_PISOT),
     ((ExactHalfInteger, PrecisionExhausted), EXIT_ROUNDING),
     ((ResidualTooLarge, NoRootInInterval), EXIT_RESIDUAL),
@@ -317,16 +315,15 @@ def _rounding_failures(writer: ReportWriter, failures: dict) -> bool:
 def _suite_target(args):
     """Resolve the suite target to (label, poly or LogEquationSpec,
     expectations, graded)."""
-    if args.alpha is not None:
-        if args.alpha < 1:
-            raise InvalidParameters("--alpha needs N >= 1")
-        label, poly = "alpha_%d" % args.alpha, alpha_poly(args.alpha)
-        expectations = alpha_expectations(args.alpha, max_onset_prime=13)
-    elif args.beta is not None:
-        if args.beta < 1:
-            raise InvalidParameters("--beta needs N >= 1")
-        label, poly = "beta_%d" % args.beta, beta_poly(args.beta)
-        expectations = beta_expectations(args.beta, max_onset_prime=13)
+    if args.alpha is not None or args.beta is not None:
+        alpha = args.alpha is not None
+        name, n = ("alpha", args.alpha) if alpha else ("beta", args.beta)
+        if n < 1:
+            raise InvalidParameters("--%s needs N >= 1" % name)
+        if n + 1 > DEGREE_LIMIT:  # before the polynomial and its expectations are built
+            raise InvalidParameters("degree is at most %d, not %d" % (DEGREE_LIMIT, n + 1))
+        label, poly = "%s_%d" % (name, n), (alpha_poly if alpha else beta_poly)(n)
+        expectations = (alpha_expectations if alpha else beta_expectations)(n, max_onset_prime=13)
     elif args.family is not None:
         spec = _parse_family(args.family)
         if spec.family != "heart":
@@ -446,19 +443,26 @@ def cmd_limits(args, out) -> int:
         writer = ReportWriter(
             out, "limits identities", {"n": [n_lo, n_hi], "bits": args.id_bits}
         )
-        worst = Fraction(0)
-        for kind in IDENTITY_KINDS:
-            for n in range(n_lo, n_hi + 1) if kind in ("I", "II") else (None,):
-                r = verify_identity(kind, n, args.id_bits)
-                worst = max(worst, r.hi)
-                writer.record(
-                    "identity",
-                    {"kind": kind, "n": n, "residual": enc_interval(r, args.id_bits)},
-                )
-        if worst >= args.tol:
-            writer.error("residual", "worst identity residual %s above tol" % worst)
+        # every residual comes before the first record, so a refused n prints nothing
+        residuals = [
+            (kind, n, verify_identity(kind, n, args.id_bits))
+            for kind in IDENTITY_KINDS
+            for n in (range(n_lo, n_hi + 1) if kind in ("I", "II") else (None,))
+        ]
+        for kind, n, r in residuals:
+            enc = enc_interval(r, args.id_bits)
+            writer.record("identity", {"kind": kind, "n": n, "residual": enc})
+        # a lower end above tol refutes an identity; an upper end not below it
+        # shows only that the bits fell short (as in solve_log_equation)
+        lo, hi = max(r.lo for *_, r in residuals), max(r.hi for *_, r in residuals)
+        if lo > args.tol:
+            writer.error("residual", "worst identity residual %s above tol" % lo)
             writer.close("residual_failure")
             return EXIT_RESIDUAL
+        if hi >= args.tol:
+            writer.error("precision", "residuals not below tol at %d bits" % args.id_bits)
+            writer.close("precision_failure")
+            return EXIT_ROUNDING
         writer.close()
         return EXIT_OK
 

@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import (
-    IncomparableMagnitudes,
     InvalidParameters,
     NoRecurrenceFound,
     PrecisionExhausted,
@@ -109,16 +108,12 @@ class BranchVerdict:
     onset_prime: int | None = None
 
     def matches(self, expected_value: int) -> bool:
-        if self.kind == "mixed":
-            return False
         return self.value == expected_value
 
 
 @dataclass(frozen=True)
 class CongruenceReport:
     level: int
-    p_lo: int
-    p_hi: int
     primes: tuple[int, ...]
     residues: Mapping[int, int]  # prime -> residue in [0, p)
     centered: Mapping[int, int]  # prime -> residue in (-p/2, p/2]
@@ -209,9 +204,7 @@ def congruence_scan(
         centered[p] = centered_residue(u, p)
 
     branch = _classify_branch(primes, centered)
-    return CongruenceReport(
-        level, p_lo, p_hi, primes, residues, centered, method, branch
-    )
+    return CongruenceReport(level, primes, residues, centered, method, branch)
 
 
 def _table_or_column(
@@ -305,20 +298,17 @@ def convergence_check(table: IterateTable, level: int) -> ConvergenceReport:
     and an onset close to ``n_hi`` is an accident of the window edge (the
     catalog's atypical field reports onset 76 at level 1 for ``n_hi = 80``).
 
-    Raises :class:`IncomparableMagnitudes` when a pair cannot be separated
-    within the precision cap.
+    Raises :class:`PrecisionExhausted` when a pair stays unseparated at the
+    precision cap, or when every column failed at or below ``level``.
     """
     row = frac_magnitudes(table, level)
     stuck = row.incomparable_pairs()
     if stuck:
-        raise IncomparableMagnitudes(
+        raise PrecisionExhausted(
             "magnitude pairs %s undecided at %d bits" % (stuck, COMPARATOR_CAP_BITS)
         )
     entries = row.entries
-    if not entries:
-        return ConvergenceReport(level, 0, 0, None, (), None)
-    ns = [e.n for e in entries]
-    n_lo, n_hi = ns[0], ns[-1]
+    n_lo, n_hi = entries[0].n, entries[-1].n
 
     zero_tail_from: int | None = None
     for e in reversed(entries):
@@ -328,30 +318,28 @@ def convergence_check(table: IterateTable, level: int) -> ConvergenceReport:
             break
 
     violations: list[MagnitudeViolation] = []
-    blocking: list[int] = []  # left indices that rule out an onset at/below them
+    blocking: int | None = None  # last left index that rules out an onset at/below it
     for i, status in enumerate(row.pair_order):
         a, b = entries[i], entries[i + 1]
         if status == "gt":
             continue
         if status == "eq":
             violations.append(MagnitudeViolation(a.n, "plateau"))
-            both_zero = a.exact_zero and b.exact_zero
-            in_zero_tail = zero_tail_from is not None and a.n >= zero_tail_from
-            if not (both_zero and in_zero_tail):
-                blocking.append(a.n)
+            # a pair in the zero tail is exactly zero on both sides
+            if zero_tail_from is None or a.n < zero_tail_from:
+                blocking = a.n
             continue
         # status == 'lt': magnitude grew
         if a.exact_zero and not b.exact_zero:
             violations.append(MagnitudeViolation(a.n, "resurgence"))
         else:
             violations.append(MagnitudeViolation(a.n, "increase"))
-        blocking.append(a.n)
+        blocking = a.n
 
-    if not blocking:
+    if blocking is None:
         onset: int | None = n_lo
     else:
-        cand = max(blocking) + 1
-        onset = cand if cand < n_hi else None
+        onset = blocking + 1 if blocking + 1 < n_hi else None
     return ConvergenceReport(
         level, n_lo, n_hi, onset, tuple(violations), zero_tail_from
     )
@@ -493,12 +481,8 @@ class LevelReport:
 
 @dataclass
 class SuiteReport:
-    min_poly: IntPolynomial
-    n_lo: int
     n_hi: int
     k_max: int
-    p_lo: int
-    p_hi: int
     levels: list[LevelReport] = dc_field(default_factory=list)
     pair_audits: list[PairAudit] = dc_field(default_factory=list)
     outcomes: list[ExpectationOutcome] = dc_field(default_factory=list)
@@ -545,7 +529,7 @@ def run_suite(
         n_hi = max(60, exact_top)
     table = build_table(field, k_max, SUITE_N_LO, n_hi)
 
-    report = SuiteReport(field.min_poly, SUITE_N_LO, n_hi, k_max, p_lo, p_hi)
+    report = SuiteReport(n_hi, k_max)
     report.table_failures = dict(table.failures)
 
     for k in range(k_max + 1):
@@ -582,7 +566,7 @@ def run_suite(
         if include_convergence:
             try:
                 rep.convergence = convergence_check(table, k)
-            except IncomparableMagnitudes as exc:
+            except PrecisionExhausted as exc:
                 rep.convergence_error = str(exc)
 
         report.levels.append(rep)
@@ -596,18 +580,15 @@ def run_suite(
 def _pair_audits(levels: Sequence[LevelReport], d: int, k_max: int) -> list[PairAudit]:
     """Mirror-pair comparisons between characteristic polynomials.
 
-    Levels ``m`` and ``d - m + 2`` are paired whenever both fall inside the
-    tabulated range and both rows produced integral recurrences.
+    Levels ``m`` and ``d - m + 2`` of ``levels`` (0..k_max, in order) are
+    paired when both exist and both rows produced integral recurrences.
     """
-    by_level = {rep.level: rep for rep in levels}
     audits: list[PairAudit] = []
     for m in range(k_max + 1):
         j = d - m + 2
         if j < m or j > k_max:
             continue
-        a, b = by_level.get(m), by_level.get(j)
-        if a is None or b is None:
-            continue
+        a, b = levels[m], levels[j]
         if a.characteristic is None or b.characteristic is None:
             continue
         if a.characteristic.degree != b.characteristic.degree:

@@ -15,19 +15,6 @@ class NonExactDivision(PisotLabError, ArithmeticError):
     """Polynomial division left a nonzero remainder where exactness was required."""
 
 
-class DegreeMismatch(InvalidParameters):
-    """Two polynomials were expected to share a degree but do not."""
-
-
-class NotMonic(InvalidParameters):
-    """A monic polynomial was required."""
-
-
-class ZeroConstantTerm(InvalidParameters):
-    """The constant coefficient vanishes, so 0 is a root and the usual
-    algebraic-integer analysis does not apply."""
-
-
 class NotPisot(PisotLabError):
     """A number field was requested for a polynomial whose root geometry
     failed certification."""
@@ -53,11 +40,6 @@ class RecurrenceUnavailable(PisotLabError):
     but no verified recurrence was supplied."""
 
 
-class IndexBelowOnset(InvalidParameters):
-    """A recurrence extension was asked for an index before the recurrence
-    starts to hold."""
-
-
 class VariantInapplicable(PisotLabError):
     """The requested coefficient-prediction rule does not apply to this
     polynomial (wrong degree, or a recognized limit-point family)."""
@@ -70,16 +52,6 @@ class ResidualTooLarge(PisotLabError):
 class NoRootInInterval(PisotLabError):
     """The constructed polynomial has no root in the interval the equation
     family promises."""
-
-
-class IncomparableMagnitudes(PrecisionExhausted):
-    """Two fractional-part magnitudes could not be certified disjoint (or
-    certified equal) within the precision cap."""
-
-
-class IncomparableAdjacent(PrecisionExhausted):
-    """Two adjacent chain values could not be certified disjoint at the
-    requested precision."""
 
 
 class CatalogError(PisotLabError):

@@ -68,12 +68,6 @@ class FieldElement:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
 
-    @property
-    def rational_value(self) -> Fraction:
-        if not self.is_rational:
-            raise InvalidParameters("element is not rational")
-        return Fraction(self.coords[0]) if self.coords else Fraction(0)
-
     def __add__(self, other: "FieldElement") -> "FieldElement":
         if len(self.coords) != len(other.coords):
             raise InvalidParameters("coordinate length mismatch")
@@ -125,9 +119,6 @@ class NumberField:
             )
         coords = coords + (0,) * (self.degree - len(coords))
         return FieldElement(coords)
-
-    def zero(self) -> FieldElement:
-        return self.element(())
 
     def one(self) -> FieldElement:
         return self.element((1,))

@@ -48,9 +48,6 @@ class RatInterval:
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    def __contains__(self, x: Rat) -> bool:
-        return self.lo <= x <= self.hi
-
     def __add__(self, other: "RatInterval") -> "RatInterval":
         return RatInterval(self.lo + other.lo, self.hi + other.hi)
 

@@ -26,7 +26,6 @@ import mpmath
 
 from .certify import PisotCertificate, certify_pisot, refine_root, sign_at
 from .errors import (
-    IncomparableAdjacent,
     InvalidParameters,
     NoRootInInterval,
     NotPisot,
@@ -35,6 +34,7 @@ from .errors import (
 )
 from .intervals import RatInterval, interval_to_iv, iv_to_interval
 from .poly import (
+    DEGREE_LIMIT,
     IntPolynomial,
     alpha_poly,
     beta_poly,
@@ -77,6 +77,8 @@ class LogEquationSpec:
             raise InvalidParameters("m must be >= 2 (integer limit points are excluded)")
         if self.n < 1:
             raise InvalidParameters("n must be >= 1")
+        if self.n + 1 > DEGREE_LIMIT:
+            raise InvalidParameters("degree is at most %d, not %d" % (DEGREE_LIMIT, self.n + 1))
         if self.family == "heart":
             if self.l is None or not (1 <= self.l < self.m):
                 raise InvalidParameters("heart needs 1 <= l < m")
@@ -104,7 +106,6 @@ class LogEquationSpec:
 
 @dataclass(frozen=True)
 class LimitPointSolution:
-    spec: LogEquationSpec
     poly: IntPolynomial  # after removing (x-1) factors
     unit_root_multiplicity: int
     root: RatInterval
@@ -148,7 +149,7 @@ def solve_log_equation(
         root = refine_root(reduced, root, bits + 8)
         residual = _residual(spec, root, bits)
         if residual.hi < tol:
-            return LimitPointSolution(spec, reduced, mult, root, cert, residual, bits)
+            return LimitPointSolution(reduced, mult, root, cert, residual, bits)
         if residual.lo > tol:
             raise ResidualTooLarge(
                 "%s: log-equation residual certified in %s, above tol %s"
@@ -308,6 +309,8 @@ def ordering_check(count: int, precision_bits: int = 128) -> OrderingReport:
     """
     if count < 2:
         raise InvalidParameters("count must be >= 2")
+    if count + 1 > DEGREE_LIMIT:
+        raise InvalidParameters("degree is at most %d, not %d" % (DEGREE_LIMIT, count + 1))
     if precision_bits < 1:
         raise InvalidParameters("precision must be at least 1 bit")
     merged = alpha_poly(1) == beta_poly(1)
@@ -338,6 +341,6 @@ def ordering_check(count: int, precision_bits: int = 128) -> OrderingReport:
             return OrderingReport(tuple(entries), tuple(gaps), below, merged)
         bits *= 2
         if bits > cap:
-            raise IncomparableAdjacent(
+            raise PrecisionExhausted(
                 "chain enclosures still overlap at %d bits" % cap
             )

@@ -12,7 +12,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .errors import DegreeMismatch, InvalidParameters, NonExactDivision
+from .errors import InvalidParameters, NonExactDivision
+
+# Largest degree of a polynomial taken from outside: ``certify`` on beta_26,
+# the slowest family member measured at it, takes 57 s (2 vCPU, Python 3.11).
+DEGREE_LIMIT = 27
 
 
 class SymmetryClass(Enum):
@@ -73,10 +77,6 @@ class IntPolynomial:
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[int | str]) -> "IntPolynomial":
         return cls(_strip(read_int(c) for c in coeffs))
-
-    @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls(())
 
     @property
     def degree(self) -> int:
@@ -230,13 +230,13 @@ def classify_pair(p: IntPolynomial, q: IntPolynomial) -> PairRelation:
     * semi-reciprocal:    a_i == -b_{n-i} for even i < n and
                           a_i ==  b_{n-i} for odd i.
 
-    Raises DegreeMismatch when the degrees differ.
+    Raises InvalidParameters when the degrees differ.
     """
     n = p.degree
     if n < 1 or q.degree < 1:
         raise InvalidParameters("classification needs degree >= 1")
     if q.degree != n:
-        raise DegreeMismatch(f"degrees differ: {n} vs {q.degree}")
+        raise InvalidParameters(f"degrees differ: {n} vs {q.degree}")
     a = [p.coeff(i) for i in range(n + 1)]
     b = [q.coeff(i) for i in range(n + 1)]
     if all(a[i] == b[n - i] for i in range(n + 1)):

@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
-    IndexBelowOnset,
     InvalidParameters,
     NoRecurrenceFound,
     NonExactDivision,
@@ -301,7 +300,7 @@ def modular_extend(
     if p < 2:
         raise InvalidParameters("modulus must be >= 2")
     if target_index < r.onset:
-        raise IndexBelowOnset(
+        raise InvalidParameters(
             f"index {target_index} precedes the recurrence onset {r.onset}"
         )
     b = [int(c) % p for c in r.coeffs]

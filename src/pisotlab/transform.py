@@ -20,6 +20,9 @@ COMPARATOR_CAP_BITS = 1 << 16
 # Largest exponent evaluated exactly: ``--exact-limit 6000 suite --name
 # atypical --pmax 6000`` takes 65 s (2 vCPU, Python 3.11).
 EXPONENT_LIMIT = 6000
+# Largest table, (k_max + 1) * (n_hi - n_lo + 1) cells: ``iterate --name
+# atypical --n 1:6000`` fills 36,000 in 26 s and 122 MB (2 vCPU, Python 3.11).
+CELL_LIMIT = 36000
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,9 @@ def build_table(
         raise InvalidParameters("need k_max >= 0 and 1 <= n_lo <= n_hi")
     if n_hi > EXPONENT_LIMIT:
         raise InvalidParameters("exponents run up to %d, not %d" % (EXPONENT_LIMIT, n_hi))
+    cells = (k_max + 1) * (n_hi - n_lo + 1)
+    if cells > CELL_LIMIT:
+        raise InvalidParameters("tables hold up to %d cells, not %d" % (CELL_LIMIT, cells))
     table = IterateTable(field, k_max, n_lo, n_hi)
     for n in range(n_lo, n_hi + 1):
         k = 0
@@ -183,7 +189,9 @@ def frac_magnitudes(table: IterateTable, k: int) -> MagnitudeRow:
     as None in pair_order rather than raised here."""
     cells = table.cells_at_level(k)
     if not cells:
-        raise InvalidParameters(f"no cells available at level {k}")
+        # a level of the table is empty only when every column failed at or below it
+        err = PrecisionExhausted if 0 <= k <= table.k_max else InvalidParameters
+        raise err(f"no cells available at level {k}")
     entries = [MagEntry(c) for c in cells]
     order: list[str | None] = []
     for a, b in zip(entries, entries[1:]):

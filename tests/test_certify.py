@@ -25,6 +25,7 @@ from pisotlab.errors import InvalidParameters, NotPisot
 from pisotlab.field import NumberField
 from pisotlab.intervals import RatInterval
 from pisotlab.poly import (
+    DEGREE_LIMIT,
     IntPolynomial,
     alpha_poly,
     beta_poly,
@@ -468,3 +469,14 @@ def test_prove_pisot_input_errors_match_certify(coeffs) -> None:
         certify_pisot(p)
     assert type(proved.value) is type(certified.value)
     assert str(proved.value) == str(certified.value)
+
+
+def test_certification_degree_bound_is_inclusive() -> None:
+    top = DEGREE_LIMIT
+    # the disk count proves alpha_{top-1}, of degree top, at once
+    assert prove_pisot(alpha_poly(top - 1)).geometry_ok
+    # x^(top+1) - 2x^top + x - 1 is refused before any isolation starts
+    over = IntPolynomial.from_coeffs([-1, 1] + [0] * (top - 2) + [-2, 1])
+    for certify in (certify_pisot, prove_pisot, NumberField.from_poly):
+        with pytest.raises(InvalidParameters, match="^degree is at most %d, not %d$" % (top, top + 1)):
+            certify(over)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,10 +13,19 @@ import pytest
 import pisotlab.cli
 import pisotlab.conjectures
 import pisotlab.field
+import pisotlab.limits
+import pisotlab.poly
 import pisotlab.transform
 from pisotlab import errors
+from pisotlab.certify import certify_pisot
 from pisotlab.cli import build_parser, main
-from pisotlab.poly import alpha_poly
+from pisotlab.conjectures import convergence_check
+from pisotlab.field import NumberField
+from pisotlab.intervals import RatInterval
+from pisotlab.limits import ordering_check
+from pisotlab.poly import IntPolynomial, alpha_poly, classify_pair
+from pisotlab.recurrence import Recurrence, modular_extend
+from pisotlab.transform import build_table
 
 GOLDEN_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "catalog_cli.jsonl"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -166,6 +176,86 @@ def test_exponent_bound_is_inclusive(capsys) -> None:
     assert set(records(lines, "level")[0]["congruence"]["method"].values()) == {"exact"}
     code, lines, _ = run(capsys, ["--exact-limit", str(top + 1)] + argv + ["--pmax", str(top + 1)])
     assert (code, lines) == (2, [])
+
+
+def test_degree_bound_is_inclusive(capsys) -> None:
+    top = pisotlab.poly.DEGREE_LIMIT
+    refusal = "degree is at most %d, not %d\n" % (top, top + 1)
+
+    def coeffs(n):
+        # alpha_n = x^(n+1) - 2x^n + x - 1, written out past the bound too
+        return ",".join(str(c) for c in [-1, 1] + [0] * (n - 2) + [-2, 1])
+
+    # the field path proves alpha_{top-1} by the disk count, so its edge is cheap
+    code, lines, _ = run(capsys, ["iterate", "--poly", coeffs(top - 1), "--kmax", "0", "--n", "1:1"])
+    assert code == 0
+    assert len(header(lines)["inputs"]["poly"]["coeffs"]) == top + 1
+    code, lines, _ = run(capsys, ["limits", "ordering", "--count", str(top - 1)])
+    assert code == 0
+    assert records(lines, "chain_entry")[-1]["label"] == "beta_%d" % (top - 1)
+    # identity I at n is the club equation of exponent n + 1, of degree n + 2
+    code, lines, _ = run(capsys, ["limits", "identities", "--n", "%d:%d" % (top - 2, top - 2)])
+    assert code == 0
+    for argv in (
+        ["certify", "--poly", coeffs(top)],
+        ["iterate", "--poly", coeffs(top), "--kmax", "0", "--n", "1:1"],
+        ["suite", "--alpha", str(top)],
+        ["suite", "--beta", str(top)],
+        ["suite", "--family", "heart:3,%d,1" % top],
+        ["limits", "solve", "--family", "club", "--m", "3", "--n", str(top)],
+        ["limits", "identities", "--n", "1:%d" % (top - 1)],
+        ["limits", "ordering", "--count", str(top)],
+    ):
+        code, lines, err = run(capsys, argv)
+        assert (code, lines) == (2, []) and err.endswith(refusal), argv
+    # refused before anything of that size is built
+    for argv in (["suite", "--alpha", str(10**12)], ["limits", "ordering", "--count", str(10**12)]):
+        code, lines, err = run(capsys, argv)
+        assert (code, lines, err) == (2, [], "error: degree is at most %d, not %d\n" % (top, 10**12 + 1))
+
+
+def test_cell_bound_refuses_before_any_output(capsys) -> None:
+    top = pisotlab.transform.CELL_LIMIT
+    refusal = "error: tables hold up to %d cells, not %d\n"
+    code, lines, err = run(capsys, ["iterate", "--name", "golden", "--kmax", str(top), "--n", "1:1"])
+    assert (code, lines, err) == (2, [], refusal % (top, top + 1))
+    argv = ["suite", "--name", "golden", "--no-expect", "--kmax", "599", "--nmax", "61"]
+    assert run(capsys, argv) == (2, [], refusal % (top, 600 * 61))
+
+
+def test_identities_precision_shortfall_exits_4(capsys) -> None:
+    # identity I at n = 1 encloses its residual in [0, 2**-252] at 256 bits:
+    # nothing is certified above 1e-100, so the bits fell short
+    argv = ["--tol", "1e-100", "limits", "identities", "--n", "1:1"]
+    code, lines, _ = run(capsys, argv)
+    assert code == 4
+    assert len(records(lines, "identity")) == 2 + 3
+    assert [l for l in lines if "error" in l] == [
+        {"error": "precision", "message": "residuals not below tol at 256 bits"}
+    ]
+    assert trailer(lines) == {"status": "precision_failure", "error_count": 1}
+    code, lines, _ = run(capsys, argv + ["--bits", "512"])
+    assert code == 0
+    assert trailer(lines) == {"status": "ok", "error_count": 0}
+
+
+def test_suite_convergence_after_every_cell_failed(capsys, monkeypatch) -> None:
+    # every cell fails below the cap, so no level has a magnitude row: each
+    # level carries a convergence_error, and the suite exits 4 with its
+    # rounding errors, as it does without --convergence
+    monkeypatch.setattr(pisotlab.field, "CAP_BITS", 32)
+    argv = ["suite", "--name", "golden", "--no-expect", "--pmax", "31", "--convergence"]
+    code, lines, _ = run(capsys, argv)
+    assert code == 4
+    levels = records(lines, "level")
+    assert [l["convergence_error"] for l in levels] == [
+        "no cells available at level 0",
+        "no cells available at level 1",
+    ]
+    assert all("convergence" not in l for l in levels)
+    errs = [l for l in lines if "error" in l]
+    assert errs and all(e["error"] == "rounding" for e in errs)
+    assert trailer(lines) == {"status": "rounding_failure", "error_count": len(errs)}
 
 
 def test_missing_target_is_usage_error(capsys) -> None:
@@ -343,15 +433,28 @@ def test_limits_solve_degenerate(capsys) -> None:
     assert "error:" in err
 
 
-def test_limits_identities_ok_and_gate(capsys) -> None:
+def test_limits_identities_ok_and_gate(capsys, monkeypatch) -> None:
     code, lines, _ = run(capsys, ["limits", "identities", "--n", "1:2"])
     assert code == 0
     assert len(records(lines, "identity")) == 2 * 2 + 3
 
+    # nothing is certified above 1e-200 at 256 bits: the bits fell short
     code, lines, _ = run(
         capsys, ["--tol", "1e-200", "limits", "identities", "--n", "1:2"]
     )
+    assert code == 4
+    assert trailer(lines)["status"] == "precision_failure"
+
+    # a residual whose lower end is above tol refutes the identity
+    def refuted(kind, n, bits):
+        return RatInterval(Fraction(1, 10**20), Fraction(1, 10**19))
+
+    monkeypatch.setattr(pisotlab.cli, "verify_identity", refuted)
+    code, lines, _ = run(capsys, ["limits", "identities", "--n", "1:2"])
     assert code == 6
+    assert [l for l in lines if "error" in l] == [
+        {"error": "residual", "message": "worst identity residual 1/100000000000000000000 above tol"}
+    ]
     assert trailer(lines)["status"] == "residual_failure"
 
 
@@ -445,12 +548,12 @@ def test_output_matches_golden(capsys, argv, code, stdout) -> None:
     "exc, code",
     [
         (errors.InvalidParameters("x"), 2),
-        (errors.NotMonic("x"), 2),
+        (errors.NonExactDivision("x"), 2),
         (errors.CatalogError("x"), 2),
         (errors.NotPisot("x"), 3),
         (errors.ExactHalfInteger("x"), 4),
         (errors.PrecisionExhausted("x"), 4),
-        (errors.IncomparableAdjacent("x"), 4),
+        (errors.RecurrenceUnavailable("x"), 2),
         (errors.ResidualTooLarge("x"), 6),
         (errors.NoRootInInterval("x"), 6),
         (errors.NoRecurrenceFound("x"), 2),
@@ -463,6 +566,85 @@ def test_error_exit_codes(monkeypatch, capsys, exc, code) -> None:
     monkeypatch.setattr(pisotlab.cli, "cmd_certify", fail)
     assert main(["certify", "--name", "golden"]) == code
     assert capsys.readouterr().err == "error: x\n"
+
+
+def _overlapping_chain(monkeypatch):
+    # beta_2 made alpha_2: the two enclosures overlap at every precision
+    monkeypatch.setattr(pisotlab.limits, "beta_poly", alpha_poly)
+
+
+def _no_comparator_refinement(monkeypatch):
+    # silver's first level-0 enclosures overlap from n = 50 on
+    for module in (pisotlab.transform, pisotlab.conjectures):
+        monkeypatch.setattr(module, "COMPARATOR_CAP_BITS", 64)
+
+
+def _silver_level0_to_53():
+    return build_table(NumberField.from_poly([-1, -2, 1]), 0, 1, 53)
+
+
+# the sites that raised NotMonic, ZeroConstantTerm, DegreeMismatch,
+# IndexBelowOnset, IncomparableAdjacent and IncomparableMagnitudes: each
+# keeps its message and, where a command reaches it, its exit code
+@pytest.mark.parametrize(
+    "setup, call, base, message, argv, code",
+    [
+        pytest.param(
+            None, lambda: certify_pisot(IntPolynomial.from_coeffs([1, 2])),
+            errors.InvalidParameters, "polynomial must be monic, leading term 2",
+            ["certify", "--poly", "1,2"], 2, id="not_monic",
+        ),
+        pytest.param(
+            None, lambda: certify_pisot(IntPolynomial.from_coeffs([0, -1, 1])),
+            errors.InvalidParameters, "constant term is zero; 0 would be a root",
+            ["certify", "--poly", "0,-1,1"], 2, id="zero_constant_term",
+        ),
+        pytest.param(
+            None,
+            lambda: classify_pair(
+                IntPolynomial.from_coeffs([1, 1]), IntPolynomial.from_coeffs([1, 1, 1])
+            ),
+            errors.InvalidParameters, "degrees differ: 1 vs 2", None, None,
+            id="degree_mismatch",
+        ),
+        pytest.param(
+            None, lambda: modular_extend(Recurrence(order=2, coeffs=(1, 1), onset=4), [7, 11], 5, 2),
+            errors.InvalidParameters, "index 2 precedes the recurrence onset 4", None, None,
+            id="index_below_onset",
+        ),
+        pytest.param(
+            _overlapping_chain, lambda: ordering_check(2),
+            errors.PrecisionExhausted, "chain enclosures still overlap at 4096 bits",
+            ["limits", "ordering", "--count", "2"], 4, id="incomparable_adjacent",
+        ),
+        pytest.param(
+            _no_comparator_refinement, lambda: convergence_check(_silver_level0_to_53(), 0),
+            errors.PrecisionExhausted,
+            "magnitude pairs [(50, 51), (51, 52), (52, 53)] undecided at 64 bits",
+            ["suite", "--name", "silver", "--no-expect", "--kmax", "0", "--nmax", "53",
+             "--convergence"],
+            0, id="incomparable_magnitudes",
+        ),
+    ],
+)
+def test_former_subclass_raise_sites(
+    capsys, monkeypatch, setup, call, base, message, argv, code
+) -> None:
+    if setup is not None:
+        setup(monkeypatch)
+    with pytest.raises(base) as info:
+        call()
+    assert type(info.value) is base and str(info.value) == message
+    if argv is None:
+        return  # no command reaches this site
+    got, lines, err = run(capsys, argv)
+    assert got == code
+    if code == 0:
+        # the suite records an undecided row and goes on
+        assert records(lines, "level")[0]["convergence_error"] == message
+        assert trailer(lines) == {"status": "ok", "error_count": 0}
+    else:
+        assert (lines, err) == ([], "error: %s\n" % message)
 
 
 def test_suite_alpha_1_grades_level_0_against_1(capsys) -> None:

@@ -21,12 +21,13 @@ from pisotlab.conjectures import (
     heart_expectations,
     run_suite,
 )
+from pisotlab.catalog import load_catalog
 from pisotlab.errors import InvalidParameters, RecurrenceUnavailable
 from pisotlab.field import NumberField
 from pisotlab.poly import IntPolynomial, PairRelation, SymmetryClass, alpha_poly
 from pisotlab.primes import primes_between
 from pisotlab.recurrence import Recurrence
-from pisotlab.transform import EXPONENT_LIMIT, build_table
+from pisotlab.transform import EXPONENT_LIMIT, build_table, frac_magnitudes
 
 GOLDEN = NumberField.from_poly([-1, -1, 1])
 PLASTIC = NumberField.from_poly([-1, -1, 0, 1])
@@ -193,6 +194,62 @@ def test_convergence_plastic_level0_no_onset() -> None:
     kinds = {v.kind for v in rep.violations}
     assert "increase" in kinds
     assert max(v.n for v in rep.violations if v.kind == "increase") == 79
+
+
+def _reference_convergence(row):
+    """convergence_check's verdict by the earlier rule: every blocking index
+    kept in a list that only max reads, and a plateau let through only when
+    it lies in the zero tail and is exactly zero on both sides."""
+    entries = row.entries
+    zero_tail_from = None
+    for e in reversed(entries):
+        if not e.exact_zero:
+            break
+        zero_tail_from = e.n
+    violations, blocking = [], []
+    for i, status in enumerate(row.pair_order):
+        a, b = entries[i], entries[i + 1]
+        if status == "gt":
+            continue
+        if status == "eq":
+            violations.append((a.n, "plateau"))
+            both_zero = a.exact_zero and b.exact_zero
+            in_zero_tail = zero_tail_from is not None and a.n >= zero_tail_from
+            if not (both_zero and in_zero_tail):
+                blocking.append(a.n)
+            continue
+        kind = "resurgence" if a.exact_zero and not b.exact_zero else "increase"
+        violations.append((a.n, kind))
+        blocking.append(a.n)
+    n_lo, n_hi = entries[0].n, entries[-1].n
+    onset = n_lo
+    if blocking:
+        onset = max(blocking) + 1 if max(blocking) + 1 < n_hi else None
+    return n_lo, n_hi, onset, violations, zero_tail_from
+
+
+@pytest.mark.parametrize("n_hi", [40, 80, 150])
+def test_convergence_check_matches_the_blocking_list_rule(n_hi) -> None:
+    seen = set()
+    for entry in load_catalog():
+        field = NumberField.from_poly(entry.poly)
+        table = build_table(field, field.degree - 1, 1, n_hi)
+        for k in range(field.degree):
+            rep = convergence_check(table, k)
+            got = (
+                rep.n_lo, rep.n_hi, rep.onset,
+                [(v.n, v.kind) for v in rep.violations], rep.zero_tail_from,
+            )
+            assert got == _reference_convergence(frac_magnitudes(table, k)), (entry.name, k)
+            plateaus = [v.n for v in rep.violations if v.kind == "plateau"]
+            tail = rep.zero_tail_from
+            if tail is not None and any(n >= tail for n in plateaus):
+                seen.add("plateau in a zero tail")
+            if any(tail is None or n < tail for n in plateaus):
+                seen.add("plateau that blocks")
+            seen.add("onset" if rep.onset is not None else "no onset")
+    # the rows exercise both plateau rules and both verdicts
+    assert seen == {"plateau in a zero tail", "plateau that blocks", "onset", "no onset"}
 
 
 def test_alpha_expectation_structure() -> None:

@@ -24,7 +24,6 @@ def test_element_padding_and_rationality() -> None:
     e = GOLDEN.element((3,))
     assert e.coords == (3, 0)
     assert e.is_rational
-    assert e.rational_value == 3
     assert not GOLDEN.theta().is_rational
 
 
@@ -43,7 +42,7 @@ def test_theta_satisfies_its_equation() -> None:
     for field in (GOLDEN, PLASTIC, DELTA2):
         t = field.theta()
         acc = field.one()
-        total = field.zero()
+        total = field.constant(0)
         for c in field.min_poly.coeffs:
             total = total + FieldElement(tuple(c * x for x in acc.coords))
             acc = field.element_mul(acc, t)
@@ -205,7 +204,7 @@ def test_rounding_random_elements_against_direct_eval() -> None:
 def test_degree_one_field() -> None:
     f = NumberField.from_poly([-4, 1])
     t = f.theta()
-    assert t.is_rational and t.rational_value == 4
+    assert t.coords == (4,)
     assert f.nearest_integer(f.theta_power(3)) == 64
 
 

@@ -16,7 +16,7 @@ from pisotlab.limits import (
     solve_log_equation,
     verify_identity,
 )
-from pisotlab.poly import IntPolynomial, alpha_poly, poly_from_terms
+from pisotlab.poly import DEGREE_LIMIT, IntPolynomial, alpha_poly, poly_from_terms
 
 TIGHT = Fraction(1, 10**30)
 
@@ -183,3 +183,23 @@ def test_ordering_count_validation() -> None:
     with pytest.raises(InvalidParameters):
         ordering_check(1)
 
+
+def test_degree_bound_is_inclusive() -> None:
+    top = DEGREE_LIMIT
+    assert LogEquationSpec("club", 3, top - 1).polynomial().degree == top
+    assert ordering_check(top - 1).entries[-1].poly.degree == top
+    # identity I at n is the club equation of exponent n + 1, of degree n + 2
+    assert verify_identity("I", top - 2).hi < TIGHT
+    assert verify_identity("II", top - 1).hi < TIGHT
+    message = "^degree is at most %d, not %d$"
+    for refuse, offset in (
+        (lambda n: LogEquationSpec("heart", 3, n, 1), 1),
+        (ordering_check, 1),
+        (lambda n: verify_identity("I", n), 2),
+        (lambda n: verify_identity("II", n), 1),
+    ):
+        # the first degree past the bound, and one far past it, refused
+        # before anything of that size is built
+        for n in (top + 1 - offset, 10**12):
+            with pytest.raises(InvalidParameters, match=message % (top, n + offset)):
+                refuse(n)

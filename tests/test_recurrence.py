@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pisotlab.errors import (
-    IndexBelowOnset,
     InvalidParameters,
     NoRecurrenceFound,
     PisotLabError,
@@ -351,7 +350,7 @@ def test_modular_extend_random_against_bruteforce() -> None:
 
 def test_modular_extend_respects_onset() -> None:
     r = Recurrence(order=2, coeffs=(1, 1), onset=4)
-    with pytest.raises(IndexBelowOnset):
+    with pytest.raises(InvalidParameters, match="^index 2 precedes the recurrence onset 4$"):
         modular_extend(r, [7, 11], 5, 2)
     # the initial terms sit at the onset: u_4 = 7, u_5 = 11, u_6 = 18
     assert modular_extend(r, [7, 11], 5, 4) == 2
@@ -506,7 +505,7 @@ def _reference_extend(r, initial_terms, p, target_index):
     if p < 2:
         raise InvalidParameters("modulus must be >= 2")
     if target_index < r.onset:
-        raise IndexBelowOnset(
+        raise InvalidParameters(
             f"index {target_index} precedes the recurrence onset {r.onset}"
         )
     if target_index < r.onset + j:

@@ -5,10 +5,17 @@ from fractions import Fraction
 import pytest
 
 from pisotlab.catalog import load_catalog
-from pisotlab.errors import InvalidParameters, PisotLabError
+import pisotlab.field
+from pisotlab.errors import InvalidParameters, PrecisionExhausted
 from pisotlab.field import START_BITS, NumberField
 from pisotlab.poly import IntPolynomial, alpha_poly
-from pisotlab.transform import EXPONENT_LIMIT, build_table, frac_magnitudes, iterate_column
+from pisotlab.transform import (
+    CELL_LIMIT,
+    EXPONENT_LIMIT,
+    build_table,
+    frac_magnitudes,
+    iterate_column,
+)
 
 GOLDEN = NumberField.from_poly([-1, -1, 1])
 SILVER = NumberField.from_poly([-1, -2, 1])
@@ -101,6 +108,19 @@ def test_exponent_bound_is_inclusive() -> None:
         build_table(GOLDEN, 0, top + 1, top + 1)
 
 
+def test_cell_bound_is_inclusive() -> None:
+    # x - 2: every cell is an integer, so tables at the bound are cheap
+    f2 = NumberField.from_poly([-2, 1])
+    top = CELL_LIMIT
+    # six levels to EXPONENT_LIMIT, the size of atypical's table there
+    assert 6 * EXPONENT_LIMIT == top
+    assert build_table(f2, 5, 1, EXPONENT_LIMIT).u(5, EXPONENT_LIMIT) == 0
+    for k_max, n_lo, n_hi in ((top, 1, 1), (6, 1, 5143), (7, 1001, 5501)):
+        cells = (k_max + 1) * (n_hi - n_lo + 1)
+        with pytest.raises(InvalidParameters, match="^tables hold up to %d cells, not %d$" % (top, cells)):
+            build_table(f2, k_max, n_lo, n_hi)
+
+
 def test_alpha2_table_head() -> None:
     # degree-3 field of x^3 - 2x^2 + x - 1, root 1.7548776...; row checked
     # against a 60-digit direct evaluation of nint(theta^n)
@@ -138,6 +158,19 @@ def test_frac_magnitudes_exact_zero_ties() -> None:
     table = build_table(GOLDEN, 2, 2, 12)
     row = frac_magnitudes(table, 2)
     assert all(s == "eq" for s in row.pair_order)
+
+
+def test_frac_magnitudes_of_an_empty_level(monkeypatch) -> None:
+    # under this cap every column fails at level 0, so a level of the table
+    # is empty for want of precision, and one past k_max is a bad argument
+    monkeypatch.setattr(pisotlab.field, "CAP_BITS", 32)
+    table = build_table(GOLDEN, 1, 1, 5)
+    assert sorted(table.failures) == [(0, n) for n in range(1, 6)]
+    for k in (0, 1):
+        with pytest.raises(PrecisionExhausted, match="^no cells available at level %d$" % k):
+            frac_magnitudes(table, k)
+    with pytest.raises(InvalidParameters, match="^no cells available at level 2$"):
+        frac_magnitudes(table, 2)
 
 
 def test_failures_recorded_not_raised() -> None:
