@@ -32,7 +32,6 @@ from .conjectures import (
 )
 from .errors import (
     CatalogError,
-    ExactHalfInteger,
     InvalidParameters,
     NoRecurrenceFound,
     NoRootInInterval,
@@ -82,7 +81,6 @@ __all__ = [
     "CongruenceReport",
     "ConstantVerdict",
     "ConvergenceReport",
-    "ExactHalfInteger",
     "ExpectationSet",
     "FieldElement",
     "IntPolynomial",

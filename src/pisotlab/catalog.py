@@ -99,15 +99,18 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
     raw_entries = doc.get("entries")
     if not isinstance(raw_entries, list):
         raise CatalogError("catalog %s: 'entries' must be a list" % source)
-    return Catalog([_parse_entry(e, source) for e in raw_entries], source)
+    return Catalog([_parse_entry(e, i, source) for i, e in enumerate(raw_entries)], source)
 
 
-def _parse_entry(raw: dict, source: str) -> CatalogEntry:
-    try:
-        name = raw["name"]
-        coeff_strings = raw["coeffs"]
-    except (TypeError, KeyError) as exc:
-        raise CatalogError("catalog %s: entry missing %s" % (source, exc)) from exc
+def _parse_entry(raw, index: int, source: str) -> CatalogEntry:
+    if not isinstance(raw, dict) or not isinstance(raw.get("name"), str):
+        raise CatalogError(
+            "catalog %s: entry %d is not an object with a string name" % (source, index)
+        )
+    name = raw["name"]
+    if "coeffs" not in raw:
+        raise CatalogError("catalog %s entry %r: missing 'coeffs'" % (source, name))
+    coeff_strings = raw["coeffs"]
     try:
         if not isinstance(coeff_strings, list):
             raise TypeError("coeffs must be a list, got %r" % (coeff_strings,))
@@ -158,6 +161,8 @@ def _parse_expectations(name: str, raw: dict, source: str) -> ExpectationSet:
     for item in items:
         try:
             level = read_int(item["level"])
+            if level < 0:
+                raise InvalidParameters("level %d is below 0" % level)
             optional = {
                 key: convert(item[key])
                 for key, convert in _EXPECTATION_KEYS.items()

@@ -33,7 +33,6 @@ from .conjectures import (
     run_suite,
 )
 from .errors import (
-    ExactHalfInteger,
     InvalidParameters,
     NoRootInInterval,
     NotPisot,
@@ -75,7 +74,7 @@ EXIT_BROKEN_PIPE = 141
 # first match wins, as in an except chain
 _EXIT_CODES = (
     (NotPisot, EXIT_NOT_PISOT),
-    ((ExactHalfInteger, PrecisionExhausted), EXIT_ROUNDING),
+    (PrecisionExhausted, EXIT_ROUNDING),
     ((ResidualTooLarge, NoRootInInterval), EXIT_RESIDUAL),
     (PisotLabError, EXIT_PARSE),
 )

@@ -20,11 +20,6 @@ class NotPisot(PisotLabError):
     failed certification."""
 
 
-class ExactHalfInteger(PisotLabError, ArithmeticError):
-    """Nearest-integer rounding hit a value exactly halfway between two
-    integers; no rounding convention is applied, the caller must decide."""
-
-
 class PrecisionExhausted(PisotLabError):
     """An adaptive-precision computation reached its bit cap without reaching
     a certified decision."""

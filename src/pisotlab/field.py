@@ -17,22 +17,14 @@ certified, never guessed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .certify import PisotCertificate, certify_pisot, refine_root
-from .errors import (
-    ExactHalfInteger,
-    InvalidParameters,
-    NotPisot,
-    PrecisionExhausted,
-)
+from .errors import InvalidParameters, NotPisot, PrecisionExhausted
 from .intervals import RatInterval
 from .poly import IntPolynomial
-
-Coord = Union[int, Fraction]
 
 # Certified rounding starts START_BITS above an element's coordinate size and
 # doubles the theta precision until the answer is certified or CAP_BITS is
@@ -42,23 +34,12 @@ START_BITS = 64
 CAP_BITS = 1 << 20
 
 
-def _norm_coord(c) -> Coord:
-    if isinstance(c, int):
-        return c
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    raise InvalidParameters(f"coordinate must be int or Fraction, got {c!r}")
-
-
 @dataclass(frozen=True)
 class FieldElement:
-    """A vector of power-basis coordinates; context (the field) is supplied
-    by the NumberField that operates on it."""
+    """A vector of integer power-basis coordinates; context (the field) is
+    supplied by the NumberField that operates on it."""
 
-    coords: tuple[Coord, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(_norm_coord(c) for c in self.coords))
+    coords: tuple[int, ...]
 
     @property
     def is_zero(self) -> bool:
@@ -68,21 +49,11 @@ class FieldElement:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
 
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        if len(self.coords) != len(other.coords):
-            raise InvalidParameters("coordinate length mismatch")
-        return FieldElement(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return self + -other
-
     def __neg__(self) -> "FieldElement":
         return FieldElement(tuple(-c for c in self.coords))
 
-    def shift_constant(self, z: Coord) -> "FieldElement":
-        """self + z (z rational, added to the constant coordinate)."""
-        if not self.coords:
-            raise InvalidParameters("empty coordinate vector")
+    def shift_constant(self, z: int) -> "FieldElement":
+        """self + z (z an integer, added to the constant coordinate)."""
         return FieldElement((self.coords[0] + z,) + self.coords[1:])
 
 
@@ -111,25 +82,27 @@ class NumberField:
 
     # -- construction of elements -------------------------------------------
 
-    def element(self, coords: Iterable[Coord]) -> FieldElement:
+    def element(self, coords: Iterable[int]) -> FieldElement:
+        """The element with these power-basis coordinates, zero-padded to the
+        degree; the one place coordinates are checked, since every element
+        of Z[theta] has integer ones."""
         coords = tuple(coords)
         if len(coords) > self.degree:
             raise InvalidParameters(
                 f"{len(coords)} coordinates in a degree-{self.degree} field"
             )
-        coords = coords + (0,) * (self.degree - len(coords))
-        return FieldElement(coords)
+        for c in coords:
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise InvalidParameters(f"coordinate must be an int, got {c!r}")
+        return FieldElement(coords + (0,) * (self.degree - len(coords)))
 
     def one(self) -> FieldElement:
         return self.element((1,))
 
-    def constant(self, c: Coord) -> FieldElement:
-        return self.element((c,))
-
     def theta(self) -> FieldElement:
         if self.degree == 1:
             # theta is the integer -a_0 in a degree-1 field
-            return self.constant(-self.min_poly.coeff(0))
+            return self.element((-self.min_poly.coeff(0),))
         return self.element((0, 1))
 
     # -- ring operations ------------------------------------------------------
@@ -181,9 +154,9 @@ class NumberField:
         """Rational enclosure of the real value of ``a`` computed from a theta
         enclosure of width <= 2**-precision_bits.
 
-        Horner runs on integer mantissas at scale 2**-s over the coordinates
-        cleared to one common denominator; every product is rounded outward,
-        so the result contains the exact interval Horner enclosure.
+        Horner runs on integer mantissas at scale 2**-s; every product is
+        rounded outward, so the result contains the exact interval Horner
+        enclosure.
         """
         if len(a.coords) != self.degree:
             raise InvalidParameters("element does not belong to this field")
@@ -196,14 +169,12 @@ class NumberField:
         s = max(precision_bits, w.denominator.bit_length() - w.numerator.bit_length()) + 8
         t_lo = (tv.lo.numerator << s) // tv.lo.denominator
         t_hi = -((-tv.hi.numerator << s) // tv.hi.denominator)
-        den = math.lcm(*(c.denominator for c in a.coords))
-        nums = [c.numerator * (den // c.denominator) for c in a.coords]
-        lo = hi = nums[-1] << s
-        for c in reversed(nums[:-1]):
+        lo = hi = a.coords[-1] << s
+        for c in reversed(a.coords[:-1]):
             # theta > 1, so t_lo > 0 and each bound's sign picks its endpoint
             lo = ((lo * (t_lo if lo >= 0 else t_hi)) >> s) + (c << s)
             hi = -((-hi * (t_hi if hi >= 0 else t_lo)) >> s) + (c << s)
-        return RatInterval(Fraction(lo, den << s), Fraction(hi, den << s))
+        return RatInterval(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
 
     # -- certified rounding ---------------------------------------------------
 
@@ -211,14 +182,14 @@ class NumberField:
         """Nearest integer to the value of ``a`` plus the enclosure that
         certified it and the theta precision used.
 
-        One integer test decides every value: the enclosure must exclude both
-        neighbouring half-integers, and the theta precision doubles until it
-        does.  A rational value has its point as enclosure at 0 bits, so it
-        is decided at once, unless it is an exact half-integer, which has no
-        nearest integer and raises ExactHalfInteger.
+        A rational value is an integer, its own nearest, with its point as
+        enclosure at 0 bits.  Any other value is decided by one integer test:
+        the enclosure must exclude both neighbouring half-integers, and the
+        theta precision doubles until it does.
         """
-        size = max((abs(c.numerator) for c in a.coords), default=0).bit_length()
-        bits = 0 if a.is_rational else START_BITS + size
+        if a.is_rational:
+            return a.coords[0], self.eval_interval(a, 0), 0
+        bits = START_BITS + max(abs(c) for c in a.coords).bit_length()
         while bits <= CAP_BITS:
             e = self.eval_interval(a, bits)
             # z = floor(mid + 1/2), decided in integers on the endpoints
@@ -226,9 +197,6 @@ class NumberField:
             z = (ln * hd + hn * ld + ld * hd) // (2 * ld * hd)
             if 2 * ln > (2 * z - 1) * ld and 2 * hn < (2 * z + 1) * hd:
                 return z, e, bits
-            if e.is_point:
-                # a point is the exact value, and it lies on z - 1/2
-                raise ExactHalfInteger(f"value {e.lo} is exactly between {z - 1} and {z}")
             bits *= 2
         raise PrecisionExhausted(
             f"rounding undecided at {CAP_BITS} bits "

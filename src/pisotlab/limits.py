@@ -57,6 +57,10 @@ __all__ = [
 DEFAULT_TOL = Fraction(1, 10**30)
 DEFAULT_SOLVE_BITS = 192
 SOLVE_MAX_BITS = 1 << 14
+# Largest working precision a caller may ask for: ``limits ordering --count
+# 26 --bits 2048`` takes 72 s and ``limits identities --n 1:25 --bits 2048``
+# 70 s (2 vCPU, Python 3.11); the time grows about fivefold per doubling.
+BITS_LIMIT = 2048
 
 _FAMILIES = ("club", "heart", "spade")
 
@@ -221,6 +225,8 @@ def verify_identity(kind: str, n: int | None = None, precision_bits: int = 256) 
         raise InvalidParameters("unknown identity kind %r" % (kind,))
     if precision_bits < 64:
         raise InvalidParameters("precision must be at least 64 bits")
+    if precision_bits > BITS_LIMIT:
+        raise InvalidParameters("precision is at most %d bits, not %d" % (BITS_LIMIT, precision_bits))
     if kind in ("I", "II"):
         if n is None or n < 1:
             raise InvalidParameters("identity %s needs n >= 1" % kind)
@@ -313,6 +319,8 @@ def ordering_check(count: int, precision_bits: int = 128) -> OrderingReport:
         raise InvalidParameters("degree is at most %d, not %d" % (DEGREE_LIMIT, count + 1))
     if precision_bits < 1:
         raise InvalidParameters("precision must be at least 1 bit")
+    if precision_bits > BITS_LIMIT:
+        raise InvalidParameters("precision is at most %d bits, not %d" % (BITS_LIMIT, precision_bits))
     merged = alpha_poly(1) == beta_poly(1)
 
     chain: list[tuple[str, IntPolynomial]] = [("alpha_1=beta_1", alpha_poly(1))]

@@ -219,12 +219,38 @@ def test_expectation_items_convert_every_key(tmp_path) -> None:
         ({"level": 0, "constant": "alt_odd_plus"}, "'alt_odd_plus' is not iterable as a list"),
         ({"level": 0, "recurrence_coeffs": "12"}, "'12' is not iterable as a list"),
         ({"level": 0, "constant": [1]}, "1 is not a string"),
+        # no row has a negative level, so the grade would read "level missing"
+        ({"level": -3, "congruence": 1}, "level -3 is below 0"),
     ],
 )
 def test_malformed_expectation_items(tmp_path, item, message) -> None:
     with pytest.raises(CatalogError, match="bad expectation item") as info:
         load_catalog(_catalog_with_items(tmp_path, [item]))
     assert message in str(info.value)
+
+
+GOLDEN_ENTRY = {"name": "g", "coeffs": ["-1", "-1", "1"]}
+
+
+@pytest.mark.parametrize(
+    "entries, index",
+    [
+        ([{"name": 5, "coeffs": ["-1", "-1", "1"]}], 0),
+        # refused for every --name, since the whole catalog loads first
+        ([GOLDEN_ENTRY, {"name": ["x"], "coeffs": ["-1", "1"]}], 1),
+        ([GOLDEN_ENTRY, "g"], 1),
+        ([{"coeffs": ["-1", "-1", "1"]}], 0),
+    ],
+)
+def test_entry_without_a_string_name_exits_2(tmp_path, capsys, entries, index) -> None:
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"schema_version": 1, "entries": entries}))
+    message = "entry %d is not an object with a string name" % index
+    with pytest.raises(CatalogError, match=message):
+        load_catalog(path)
+    assert main(["--catalog", str(path), "certify", "--name", "g"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 @pytest.mark.parametrize("patterns", [[{"level": 0}], {"levels": 5}])

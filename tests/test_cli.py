@@ -100,6 +100,9 @@ PARSE_ERROR_TEXT = {
         "exponents run up to 6000, not 6001",
     ("--exact-limit", "6001", "generate", "--target", "7", "--pmax", "6001"):
         "exponents run up to 6000, not 6001",
+    ("limits", "ordering", "--bits", "2049"): "precision is at most 2048 bits, not 2049",
+    ("limits", "identities", "--bits", str(10**30)):
+        "precision is at most 2048 bits, not %d" % 10**30,
 }
 
 
@@ -140,6 +143,9 @@ PARSE_ERROR_TEXT = {
         ["--exact-limit", "6001", "suite", "--name", "golden", "--pmax", "6001"],
         ["--exact-limit", "6001", "suite", "--name", "golden", "--nmax", "60", "--pmax", "6001"],
         ["--exact-limit", "6001", "generate", "--target", "7", "--pmax", "6001"],
+        ["limits", "ordering", "--bits", "2049"],
+        # 10**30 bits raised OverflowError, a traceback
+        ["limits", "identities", "--bits", str(10**30)],
     ],
 )
 def test_parse_errors_exit_2(capsys, argv) -> None:
@@ -551,8 +557,8 @@ def test_output_matches_golden(capsys, argv, code, stdout) -> None:
         (errors.NonExactDivision("x"), 2),
         (errors.CatalogError("x"), 2),
         (errors.NotPisot("x"), 3),
-        (errors.ExactHalfInteger("x"), 4),
         (errors.PrecisionExhausted("x"), 4),
+        (errors.PisotLabError("x"), 2),
         (errors.RecurrenceUnavailable("x"), 2),
         (errors.ResidualTooLarge("x"), 6),
         (errors.NoRootInInterval("x"), 6),

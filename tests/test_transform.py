@@ -148,7 +148,7 @@ def test_catalog_cells_certify_on_first_pass(entry) -> None:
     assert not table.failures
     for k in range(field.degree):
         for cell in table.cells_at_level(k):
-            size = max(abs(c.numerator) for c in cell.element.coords).bit_length()
+            size = max(abs(c) for c in cell.element.coords).bit_length()
             first = 0 if cell.element.is_rational else START_BITS + size
             assert cell.bits == first, (k, cell.n)
         assert frac_magnitudes(table, k).incomparable_pairs() == []
