@@ -550,6 +550,10 @@ def test_output_matches_golden(capsys, argv, code, stdout) -> None:
     assert capsys.readouterr().out == stdout
 
 
+class _PrecisionSubclass(errors.PrecisionExhausted):
+    """The exit code is taken by isinstance: a subclass keeps its base's."""
+
+
 @pytest.mark.parametrize(
     "exc, code",
     [
@@ -558,11 +562,12 @@ def test_output_matches_golden(capsys, argv, code, stdout) -> None:
         (errors.CatalogError("x"), 2),
         (errors.NotPisot("x"), 3),
         (errors.PrecisionExhausted("x"), 4),
-        (errors.PisotLabError("x"), 2),
+        (_PrecisionSubclass("x"), 4),
         (errors.RecurrenceUnavailable("x"), 2),
         (errors.ResidualTooLarge("x"), 6),
         (errors.NoRootInInterval("x"), 6),
         (errors.NoRecurrenceFound("x"), 2),
+        (errors.PisotLabError("x"), 2),
     ],
 )
 def test_error_exit_codes(monkeypatch, capsys, exc, code) -> None:

@@ -205,6 +205,37 @@ def test_nearest_integer_rational_elements(field, v) -> None:
     assert got == (v, RatInterval.point(Fraction(v)), 0)
 
 
+def _rational_rounding_reference(v: int | Fraction) -> tuple[int, RatInterval, int]:
+    """Rounding of a rational constant by rules of its own: an int is an
+    element of Z[theta] and is itself at 0 bits; a Fraction, even a whole
+    or half-integer one, is no coordinate and is refused."""
+    if isinstance(v, int):
+        return v, RatInterval.point(Fraction(v)), 0
+    raise InvalidParameters(f"coordinate must be an int, got {v!r}")
+
+
+def _outcome(call):
+    try:
+        return call()
+    except InvalidParameters as exc:
+        return type(exc), str(exc)
+
+
+RATIONALS = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.integers(-(10**30), 10**30).map(Fraction),
+    st.integers(-(10**30), 10**30).map(lambda k: Fraction(2 * k + 1, 2)),
+    st.fractions(max_denominator=10**6),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(POWER_FIELDS), RATIONALS)
+def test_rational_rounding_matches_the_rational_reference(field, v) -> None:
+    got = _outcome(lambda: field.round_with_enclosure(field.element((v,))))
+    assert got == _outcome(lambda: _rational_rounding_reference(v))
+
+
 def test_element_refuses_non_integer_coordinates() -> None:
     for c in (Fraction(7, 3), Fraction(7, 2), Fraction(-1, 2), Fraction(4, 2), 1.0, True, "3"):
         for coords in ((c,), (0, c)):
