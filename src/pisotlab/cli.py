@@ -11,8 +11,9 @@ Commands:
 
 Exit codes: 0 success (including pure findings), 2 unparseable input,
 3 certified not-Pisot, 4 a precision cap or ``--bits`` too low to certify,
-5 a graded expectation failed, 6 a residual certified above ``--tol`` or no
-root in the family window, 141 stdout closed by its reader (no traceback).
+5 a graded expectation failed, 6 an identity residual above ``--tol``, a
+log equation false in Z[theta] or no root in the family window, 141 stdout
+closed by its reader (no traceback).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .conjectures import (
     EXACT_LIMIT_DEFAULT,
     alpha_expectations,
     beta_expectations,
+    check_scan_range,
     heart_expectations,
     run_suite,
 )
@@ -42,6 +44,7 @@ from .errors import (
 )
 from .field import NumberField
 from .limits import (
+    DEFAULT_SOLVE_BITS,
     DEFAULT_TOL,
     IDENTITY_KINDS,
     LogEquationSpec,
@@ -132,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         "construction for Pisot numbers.",
     )
     p.add_argument("--tol", default=DEFAULT_TOL,
-                   help="residual tolerance for log-equation gates (default 1e-30)")
+                   help="residual tolerance of `limits identities` (default 1e-30)")
     p.add_argument("--exact-limit", type=int, default=EXACT_LIMIT_DEFAULT,
                    help="largest prime evaluated through the exact transform")
     p.add_argument("--catalog",
@@ -340,11 +343,12 @@ def _suite_target(args):
 
 def cmd_suite(args, out) -> int:
     label, target, expectations, graded = _suite_target(args)
+    check_scan_range(args.plo, args.pmax, args.exact_limit)  # before the field is built
     writer = ReportWriter(
         out, "suite", {"target": label, "pmax": args.pmax, "graded": graded}
     )
     if isinstance(target, LogEquationSpec):
-        sol = solve_log_equation(target, args.tol)
+        sol = solve_log_equation(target)
         field = NumberField(sol.poly, sol.certificate)
     else:
         field = NumberField.from_poly(target)
@@ -376,8 +380,8 @@ def cmd_suite(args, out) -> int:
 def _solution_payload(sol, **extra) -> dict:
     return {
         "poly": enc_poly(sol.poly),
-        "root": enc_interval(sol.root, sol.residual_bits),
-        "residual_hi": enc_fraction(sol.residual.hi),
+        "root": enc_interval(sol.root, DEFAULT_SOLVE_BITS),
+        "residual_hi": "0",  # the identity is proved exactly
         **extra,
     }
 
@@ -424,7 +428,7 @@ def cmd_limits(args, out) -> int:
     if args.limits_command == "solve":
         spec = LogEquationSpec(args.family, args.m, args.n, args.l)
         writer = ReportWriter(out, "limits solve", {"spec": spec.label()})
-        sol = solve_log_equation(spec, args.tol)
+        sol = solve_log_equation(spec)
         writer.record(
             "solution",
             _solution_payload(
@@ -452,7 +456,7 @@ def cmd_limits(args, out) -> int:
             enc = enc_interval(r, args.id_bits)
             writer.record("identity", {"kind": kind, "n": n, "residual": enc})
         # a lower end above tol refutes an identity; an upper end not below it
-        # shows only that the bits fell short (as in solve_log_equation)
+        # shows only that the bits fell short
         lo, hi = max(r.lo for *_, r in residuals), max(r.hi for *_, r in residuals)
         if lo > args.tol:
             writer.error("residual", "worst identity residual %s above tol" % lo)
@@ -499,11 +503,12 @@ def cmd_generate(args, out) -> int:
     if args.count < 1:
         raise InvalidParameters("--count must be >= 1")
     p_hi = args.pmax if args.pmax is not None else max(97, 4 * m)
+    check_scan_range(2, p_hi, args.exact_limit)  # before the solve
     spec = LogEquationSpec("heart", m, 2, 1)
     writer = ReportWriter(
         out, "generate", {"target": m, "pmax": p_hi, "count": args.count}
     )
-    sol = solve_log_equation(spec, args.tol)
+    sol = solve_log_equation(spec)
     # only level 0 is reported, so only level 0 is tabulated
     suite = run_suite(
         NumberField(sol.poly, sol.certificate),

@@ -51,6 +51,7 @@ __all__ = [
     "BranchVerdict",
     "CongruenceReport",
     "congruence_scan",
+    "check_scan_range",
     "ConstantVerdict",
     "constant_detect",
     "MagnitudeViolation",
@@ -141,6 +142,17 @@ def _classify_branch(primes: Sequence[int], centered: Mapping[int, int]) -> Bran
     return BranchVerdict(_BRANCH_KINDS.get(values[-1], "other"), values[-1], primes[start])
 
 
+def check_scan_range(p_lo: int, p_hi: int, exact_limit: int) -> None:
+    """Refuse a prime range that a scan cannot take, before any work."""
+    if p_lo > p_hi:
+        raise InvalidParameters("empty prime range")
+    if p_hi > PMAX_LIMIT:
+        raise InvalidParameters("primes are scanned up to %d, not %d" % (PMAX_LIMIT, p_hi))
+    exact_top = min(p_hi, exact_limit)
+    if exact_top > EXPONENT_LIMIT:
+        raise InvalidParameters("exponents run up to %d, not %d" % (EXPONENT_LIMIT, exact_top))
+
+
 def congruence_scan(
     field: NumberField,
     level: int,
@@ -167,13 +179,7 @@ def congruence_scan(
     """
     if level < 0:
         raise InvalidParameters("iterate level must be >= 0")
-    if p_lo > p_hi:
-        raise InvalidParameters("empty prime range")
-    if p_hi > PMAX_LIMIT:
-        raise InvalidParameters("primes are scanned up to %d, not %d" % (PMAX_LIMIT, p_hi))
-    exact_top = min(p_hi, exact_limit)
-    if exact_top > EXPONENT_LIMIT:
-        raise InvalidParameters("exponents run up to %d, not %d" % (EXPONENT_LIMIT, exact_top))
+    check_scan_range(p_lo, p_hi, exact_limit)
     primes = tuple(primes_between(p_lo, p_hi))
     residues: dict[int, int] = {}
     centered: dict[int, int] = {}

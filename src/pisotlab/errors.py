@@ -41,7 +41,7 @@ class VariantInapplicable(PisotLabError):
 
 
 class ResidualTooLarge(PisotLabError):
-    """A certified residual bound exceeded the requested tolerance."""
+    """A log equation's identity failed in Z[theta]: its polynomial is wrong."""
 
 
 class NoRootInInterval(PisotLabError):

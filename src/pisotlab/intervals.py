@@ -121,9 +121,22 @@ def _decimal_from_scaled(n: int, digits: int) -> str:
     sign = "-" if n < 0 else ""
     n = abs(n)
     if digits == 0:
-        return f"{sign}{n}"
+        return sign + int_to_decimal(n)
     whole, frac = divmod(n, 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return "%s%s.%s" % (sign, int_to_decimal(whole), int_to_decimal(frac).zfill(digits))
+
+
+def int_to_decimal(n: int) -> str:
+    """``str(n)`` at any size.  The interpreter refuses ``str`` past a digit
+    cap (4,300 by default, never below 640), so a value of more than 2,000
+    bits (about 600 digits) is written as two halves split at a power of ten."""
+    if n < 0:
+        return "-" + int_to_decimal(-n)
+    if n.bit_length() <= 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half its digits, as log10(2) > 0.3
+    hi, lo = divmod(n, 10**k)
+    return int_to_decimal(hi) + int_to_decimal(lo).zfill(k)
 
 
 # -- mpmath bridges ----------------------------------------------------------

@@ -7,10 +7,10 @@ Three families, parametrized by integers ``m >= 2``, ``n >= 1`` (and
 * heart:  (-ln(m - x) + ln(x - m + l))/ln x = n  <=>  x^{n+1} - m x^n + x - m + l = 0
 * spade:  -ln(x - m)/ln x = n                    <=>  x^{n+1} - m x^n - 1 = 0
 
-The polynomial reductions are rederived algebra, so every solved root is
-pushed back through the *original* logarithmic equation with interval
-arithmetic and gated on the residual.  A failed gate means the algebra is
-wrong, not that precision ran out -- the two cases raise different errors.
+Inside the family window each equation is exactly A(theta) theta^n =
+B(theta) with A, B > 0 and theta > 1 (club: A = m - theta, B = 1; spade:
+A = theta - m, B = 1; heart: A = m - theta, B = theta - m + l), so every
+solved root is proved by that identity in Z[theta], in integers.
 
 Also here: certified evaluation of the closed-form log identities attached
 to the alpha/beta families and a certified ordering chain of the small
@@ -32,6 +32,7 @@ from .errors import (
     PrecisionExhausted,
     ResidualTooLarge,
 )
+from .field import NumberField
 from .intervals import RatInterval, interval_to_iv, iv_to_interval
 from .poly import (
     DEGREE_LIMIT,
@@ -56,7 +57,6 @@ __all__ = [
 
 DEFAULT_TOL = Fraction(1, 10**30)
 DEFAULT_SOLVE_BITS = 192
-SOLVE_MAX_BITS = 1 << 14
 # Largest working precision a caller may ask for: ``limits ordering --count
 # 26 --bits 2048`` takes 72 s and ``limits identities --n 1:25 --bits 2048``
 # 70 s (2 vCPU, Python 3.11); the time grows about fivefold per doubling.
@@ -114,29 +114,20 @@ class LimitPointSolution:
     unit_root_multiplicity: int
     root: RatInterval
     certificate: PisotCertificate
-    residual: RatInterval  # certified |LHS - n| at the root
-    residual_bits: int
 
 
-def solve_log_equation(
-    spec: LogEquationSpec, tol: Fraction = DEFAULT_TOL
-) -> LimitPointSolution:
-    """Solve one log-equation spec to a certified Pisot limit point.
+def solve_log_equation(spec: LogEquationSpec) -> LimitPointSolution:
+    """Solve one log-equation spec to a proved Pisot limit point.
 
     Builds the family polynomial, strips any (x-1) factor, brackets the
-    root by a sign change across the family's window, proves the remaining
-    polynomial Pisot by the exact disk count (`certify_pisot` with
-    ``enclosures=False``), and finally re-evaluates the original
-    logarithmic equation at the root.  The residual must certify below
-    ``tol``; a residual certified *above* ``tol`` raises
-    :class:`ResidualTooLarge` (the polynomial reduction would be wrong).
-    The residual is evaluated from DEFAULT_SOLVE_BITS up, doubling to
-    SOLVE_MAX_BITS.
+    root by a strict sign change across the family's window, proves the
+    rest Pisot by the exact disk count (`certify_pisot` with
+    ``enclosures=False``), and checks A(theta) theta^n = B(theta) in
+    Z[theta].  That identity is the log equation itself: the window signs
+    put theta above 1 and make every log argument positive.  A failed
+    check raises :class:`ResidualTooLarge` (the polynomial is wrong).
     """
-    if tol <= 0:
-        raise InvalidParameters("tolerance must be positive")
-    raw = spec.polynomial()
-    reduced, mult = strip_unit_root(raw)
+    reduced, mult = strip_unit_root(spec.polynomial())
     if reduced.degree < 1:
         raise NoRootInInterval(
             "%s collapses to a constant after removing (x-1)^%d" % (spec.label(), mult)
@@ -147,24 +138,13 @@ def solve_log_equation(
         raise NotPisot(
             "%s solved to a non-Pisot root: %s" % (spec.label(), cert.failure_reason)
         )
-
-    bits = DEFAULT_SOLVE_BITS
-    while True:
-        root = refine_root(reduced, root, bits + 8)
-        residual = _residual(spec, root, bits)
-        if residual.hi < tol:
-            return LimitPointSolution(reduced, mult, root, cert, residual, bits)
-        if residual.lo > tol:
-            raise ResidualTooLarge(
-                "%s: log-equation residual certified in %s, above tol %s"
-                % (spec.label(), residual, tol)
-            )
-        bits *= 2
-        if bits > SOLVE_MAX_BITS:
-            raise PrecisionExhausted(
-                "residual for %s still straddles tol at %d bits"
-                % (spec.label(), SOLVE_MAX_BITS)
-            )
+    field = NumberField(reduced, cert)
+    theta, m = field.theta(), spec.m
+    a = theta.shift_constant(-m) if spec.family == "spade" else (-theta).shift_constant(m)
+    b = theta.shift_constant(spec.l - m) if spec.family == "heart" else field.one()
+    if field.element_mul(a, field.theta_power(spec.n)) != b:
+        raise ResidualTooLarge("%s: A(theta) theta^n != B(theta) in Z[theta]" % spec.label())
+    return LimitPointSolution(reduced, mult, root, cert)
 
 
 def _residual(spec: LogEquationSpec, root: RatInterval, prec: int) -> RatInterval:

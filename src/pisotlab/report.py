@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 from typing import IO
 
-from .intervals import RatInterval, decimal_lower, decimal_upper
+from .intervals import RatInterval, decimal_lower, decimal_upper, int_to_decimal
 from .poly import IntPolynomial
 
 __all__ = [
@@ -33,14 +33,14 @@ DEFAULT_DIGITS = 36
 
 
 def enc_int(v: int) -> str:
-    return str(int(v))
+    return int_to_decimal(int(v))
 
 
 def enc_fraction(q) -> str:
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+        return int_to_decimal(q.numerator)
+    return "%s/%s" % (int_to_decimal(q.numerator), int_to_decimal(q.denominator))
 
 
 def enc_interval(

@@ -419,6 +419,53 @@ def test_limits_solve(capsys) -> None:
     sol = records(lines, "solution")[0]
     assert sol["poly"]["coeffs"] == ["-1", "0", "0", "-2", "1"]
     assert sol["certificate"]["verdict"] == "pisot"
+    # the identity is proved exactly; the root prints at its width in bits
+    assert sol["residual_hi"] == "0"
+    assert sol["root"]["bits"] == pisotlab.limits.DEFAULT_SOLVE_BITS
+
+
+def test_suite_family_root_at_the_window_end(capsys) -> None:
+    # the root lies within 2^-192 of m = 10^10, where the mpmath gate refused
+    code, lines, _ = run(capsys, ["suite", "--family", "heart:10000000000,7,1",
+                                  "--no-expect", "--pmax", "7", "--nmax", "8", "--kmax", "1"])
+    assert code == 0
+    assert records(lines, "solution")[0]["residual_hi"] == "0"
+    assert len(records(lines, "level")) == 2
+
+
+def test_generate_needs_no_log_gate(capsys, monkeypatch) -> None:
+    def no_log_gate(*args):
+        raise AssertionError("the mpmath log gate ran")
+
+    monkeypatch.setattr(pisotlab.limits, "_log_ratio", no_log_gate)
+    code, lines, _ = run(capsys, ["generate", "--target", "7"])
+    assert code == 0
+    assert records(lines, "target_check")[0]["achieved"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--target", str(10**30)],
+        ["suite", "--family", "heart:3,2,1", "--pmax", "2000000"],
+    ],
+)
+def test_scan_range_refused_before_the_solve(capsys, monkeypatch, argv) -> None:
+    def no_solve(spec):
+        raise AssertionError("solved %s before the range check" % spec.label())
+
+    monkeypatch.setattr(pisotlab.cli, "solve_log_equation", no_solve)
+    code, lines, err = run(capsys, argv)
+    assert code == 2
+    assert "primes are scanned up to 1000000" in err
+    assert lines == []
+
+
+def test_iterate_value_past_the_digit_cap(capsys) -> None:
+    # 100000^900 = 10^4500 has more digits than str() converts by default
+    code, lines, _ = run(capsys, ["iterate", "--poly", "-100000,1", "--n", "900:900", "--kmax", "0"])
+    assert code == 0
+    assert records(lines, "row")[0]["values"]["900"] == "1" + "0" * 4500
 
 
 def test_certify_pisot_without_witness_prime(capsys) -> None:

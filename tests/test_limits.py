@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 import pisotlab.certify
-from pisotlab.certify import Verdict, prove_pisot
+import pisotlab.limits
+from pisotlab.certify import Verdict, prove_pisot, sign_at
 from pisotlab.conjectures import heart_expectations, run_suite
-from pisotlab.errors import InvalidParameters, NoRootInInterval
+from pisotlab.errors import InvalidParameters, NoRootInInterval, ResidualTooLarge
 from pisotlab.field import NumberField
 from pisotlab.limits import (
     IDENTITY_KINDS,
@@ -59,7 +60,7 @@ def test_generalized_check_m_minus_l_two_fails_top_level() -> None:
     # (m - l)^n = 2^n instead of settling at +-1, so the constant-tail
     # expectation must be reported as failed -- honestly, not silently
     spec = LogEquationSpec("heart", 3, 2, 1)
-    sol = solve_log_equation(spec, TIGHT)
+    sol = solve_log_equation(spec)
     rep = run_suite(
         NumberField(sol.poly, sol.certificate),
         heart_expectations(spec.m, spec.n),
@@ -76,18 +77,22 @@ def test_generalized_check_m_minus_l_two_fails_top_level() -> None:
 
 def test_solve_heart_21_matches_alpha_family() -> None:
     for n in range(1, 5):
-        sol = solve_log_equation(LogEquationSpec("heart", 2, n, 1), TIGHT)
+        sol = solve_log_equation(LogEquationSpec("heart", 2, n, 1))
         assert sol.poly == alpha_poly(n)
         assert sol.certificate.verdict is Verdict.PISOT
-        assert sol.residual.hi < TIGHT
 
 
 def test_solver_takes_its_verdict_from_the_disk_count(monkeypatch) -> None:
-    # every spec with m <= 7, n <= 8 is proved without sympy's isolation
+    # every spec with m <= 7, n <= 8 is proved without sympy's isolation and
+    # without the mpmath log gate of the identities
     def no_isolation(p):
         raise AssertionError("sympy isolation ran on %s" % p)
 
+    def no_log_gate(*args):
+        raise AssertionError("the mpmath log gate ran")
+
     monkeypatch.setattr(pisotlab.certify, "_sympy_poly", no_isolation)
+    monkeypatch.setattr(pisotlab.limits, "_log_ratio", no_log_gate)
     solved = 0
     for m in range(2, 8):
         for n in range(1, 9):
@@ -96,7 +101,7 @@ def test_solver_takes_its_verdict_from_the_disk_count(monkeypatch) -> None:
             for spec in specs:
                 if (spec.family, spec.m, spec.n) == ("club", 2, 1):
                     continue  # collapses to a constant
-                sol = solve_log_equation(spec, TIGHT)
+                sol = solve_log_equation(spec)
                 assert sol.certificate == prove_pisot(sol.poly)
                 lo, hi = spec.root_window
                 assert lo < sol.root.lo and sol.root.hi < hi
@@ -105,17 +110,36 @@ def test_solver_takes_its_verdict_from_the_disk_count(monkeypatch) -> None:
 
 
 def test_solve_spade_23() -> None:
-    sol = solve_log_equation(LogEquationSpec("spade", 2, 3), TIGHT)
+    sol = solve_log_equation(LogEquationSpec("spade", 2, 3))
     assert sol.poly == IntPolynomial.from_coeffs([-1, 0, 0, -2, 1])
     assert sol.unit_root_multiplicity == 0
     assert sol.root.lo > 2 and sol.root.hi < 3
-    assert sol.residual.hi < TIGHT
+
+
+def test_wrong_polynomial_fails_the_identity(monkeypatch) -> None:
+    # heart(3, 2, 1)'s polynomial has its root in club(3, 2)'s window ]2, 3[
+    # and is Pisot, but (3 - theta) theta^2 = theta - 2 there, not 1
+    heart = LogEquationSpec("heart", 3, 2, 1).polynomial()
+    monkeypatch.setattr(LogEquationSpec, "polynomial", lambda self: heart)
+    with pytest.raises(ResidualTooLarge, match=r"^club\(m=3,n=2\): "):
+        solve_log_equation(LogEquationSpec("club", 3, 2))
+
+
+def test_root_at_the_window_end_is_proved() -> None:
+    # spade(1000, 26) has its root within 2^-200 of 1000: the enclosure's
+    # lower end is the window end itself, yet the window signs are strict
+    spec = LogEquationSpec("spade", 1000, 26)
+    sol = solve_log_equation(spec)
+    lo, hi = spec.root_window
+    assert sol.root.lo == lo and sol.root.hi < hi
+    assert sign_at(sol.poly, lo) < 0 < sign_at(sol.poly, hi)
+    assert sol.certificate.verdict is Verdict.PISOT
 
 
 def test_solve_club_22_strips_unit_root_to_golden() -> None:
     # x^3 - 2x^2 + 1 = (x - 1)(x^2 - x - 1): the certified survivor is the
     # golden ratio
-    sol = solve_log_equation(LogEquationSpec("club", 2, 2), TIGHT)
+    sol = solve_log_equation(LogEquationSpec("club", 2, 2))
     assert sol.unit_root_multiplicity == 1
     assert sol.poly == IntPolynomial.from_coeffs([-1, -1, 1])
     assert sol.root.lo > Fraction("1.61") and sol.root.hi < Fraction("1.62")
@@ -124,14 +148,13 @@ def test_solve_club_22_strips_unit_root_to_golden() -> None:
 def test_solve_club_21_degenerates() -> None:
     # x^2 - 2x + 1 = (x - 1)^2 leaves nothing after unit-root removal
     with pytest.raises(NoRootInInterval):
-        solve_log_equation(LogEquationSpec("club", 2, 1), TIGHT)
+        solve_log_equation(LogEquationSpec("club", 2, 1))
 
 
 def test_solve_is_deterministic() -> None:
-    a = solve_log_equation(LogEquationSpec("heart", 3, 3, 2), TIGHT)
-    b = solve_log_equation(LogEquationSpec("heart", 3, 3, 2), TIGHT)
-    assert (a.root.lo, a.root.hi) == (b.root.lo, b.root.hi)
-    assert a.residual.hi == b.residual.hi
+    a = solve_log_equation(LogEquationSpec("heart", 3, 3, 2))
+    b = solve_log_equation(LogEquationSpec("heart", 3, 3, 2))
+    assert a == b
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import random
+import sys
 from fractions import Fraction
 
 from pisotlab.certify import Verdict, certify_pisot
-from pisotlab.intervals import RatInterval
+from pisotlab.intervals import RatInterval, decimal_upper
 from pisotlab.poly import IntPolynomial
 from pisotlab.report import (
     SCHEMA_VERSION,
@@ -24,6 +27,35 @@ def test_enc_int_and_fraction() -> None:
     assert enc_fraction(Fraction(7)) == "7"
     assert enc_fraction(Fraction(22, 7)) == "22/7"
     assert enc_fraction(Fraction(-1, 3)) == "-1/3"
+
+
+@contextlib.contextmanager
+def _no_digit_cap():
+    """Lift the interpreter's int-to-str digit cap for a reference only."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_values_past_the_digit_cap_print_in_full() -> None:
+    big = 10**5000 + 987654321
+    got = [enc_int(big), enc_int(-big), enc_int(10**5000), enc_int(-(10**5000)),
+           enc_fraction(Fraction(-big, 7)), decimal_upper(Fraction(big, 3), 36)]
+    with _no_digit_cap():
+        up = -((-big * 10**36) // 3)
+        want = [str(big), str(-big), str(10**5000), str(-(10**5000)),
+                "%d/7" % -big, "%d.%036d" % divmod(up, 10**36)]
+    assert got == want
+
+
+def test_values_within_the_digit_cap_print_as_str() -> None:
+    rng = random.Random(4300)
+    values = [0, 10**4299, 10**4300 - 1, -(10**4300 - 1)]
+    values += [rng.choice((1, -1)) * rng.getrandbits(rng.randrange(1, 14280)) for _ in range(200)]
+    assert [enc_int(v) for v in values] == [str(v) for v in values]
 
 
 def test_enc_interval_outward() -> None:
