@@ -38,8 +38,8 @@ from .recurrence import (
     detect_recurrence,
     modular_extend,
 )
+from . import transform
 from .transform import (
-    COMPARATOR_CAP_BITS,
     EXPONENT_LIMIT,
     IterateTable,
     build_table,
@@ -311,7 +311,8 @@ def convergence_check(table: IterateTable, level: int) -> ConvergenceReport:
     stuck = row.incomparable_pairs()
     if stuck:
         raise PrecisionExhausted(
-            "magnitude pairs %s undecided at %d bits" % (stuck, COMPARATOR_CAP_BITS)
+            # transform's binding, the one frac_magnitudes compared against
+            "magnitude pairs %s undecided at %d bits" % (stuck, transform.COMPARATOR_CAP_BITS)
         )
     entries = row.entries
     n_lo, n_hi = entries[0].n, entries[-1].n

@@ -17,6 +17,7 @@ certified, never guessed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -66,7 +67,7 @@ class NumberField:
         self.min_poly = min_poly
         self.degree = min_poly.degree
         self.certificate = certificate
-        self._theta_iv = certificate.dominant_root
+        self._set_theta(certificate.dominant_root)
         self._powers = [self.one()]
 
     @classmethod
@@ -143,11 +144,29 @@ class NumberField:
 
     # -- numeric enclosures ---------------------------------------------------
 
+    def _set_theta(self, iv: RatInterval) -> None:
+        """Keep theta's enclosure with what the calls below read off its
+        width p/q, so that no call makes a Fraction of it: the exponent
+        ``_theta_exp`` that sets eval_interval's scale, and ``_theta_bits``,
+        the largest b with width <= 2**-b (infinite for a point)."""
+        self._theta_iv = iv
+        w = iv.width
+        p, q = w.numerator, w.denominator
+        e = q.bit_length() - p.bit_length()
+        self._theta_exp = e
+        # q/p lies in (2**(e-1), 2**(e+1)), so b is e or e - 1
+        if p == 0:
+            self._theta_bits = math.inf
+        else:
+            self._theta_bits = e if p << max(e, 0) <= q << max(-e, 0) else e - 1
+        self._grid = None  # (s, t_lo, t_hi) at the last scale s
+
     def theta_enclosure(self, bits: int) -> RatInterval:
         """Enclosure of theta with width at most 2**-bits (monotone: repeated
-        calls only ever shrink the cached interval)."""
-        if self._theta_iv.width > Fraction(1, 1 << bits):
-            self._theta_iv = refine_root(self.min_poly, self._theta_iv, bits)
+        calls only ever shrink the cached interval).  Deciding whether the
+        cached one is tight enough is one integer comparison."""
+        if bits > self._theta_bits:
+            self._set_theta(refine_root(self.min_poly, self._theta_iv, bits))
         return self._theta_iv
 
     def eval_interval(self, a: FieldElement, precision_bits: int) -> RatInterval:
@@ -156,7 +175,8 @@ class NumberField:
 
         Horner runs on integer mantissas at scale 2**-s; every product is
         rounded outward, so the result contains the exact interval Horner
-        enclosure.
+        enclosure.  The endpoint mantissas t_lo, t_hi are kept for the last
+        s until theta's enclosure changes.
         """
         if len(a.coords) != self.degree:
             raise InvalidParameters("element does not belong to this field")
@@ -165,10 +185,12 @@ class NumberField:
         tv = self.theta_enclosure(precision_bits)
         # s follows the cached enclosure, which may be far tighter than
         # asked for; at this s its dyadic endpoints lie on the grid exactly
-        w = tv.width
-        s = max(precision_bits, w.denominator.bit_length() - w.numerator.bit_length()) + 8
-        t_lo = (tv.lo.numerator << s) // tv.lo.denominator
-        t_hi = -((-tv.hi.numerator << s) // tv.hi.denominator)
+        s = max(precision_bits, self._theta_exp) + 8
+        if self._grid is None or self._grid[0] != s:
+            t_lo = (tv.lo.numerator << s) // tv.lo.denominator
+            t_hi = -((-tv.hi.numerator << s) // tv.hi.denominator)
+            self._grid = (s, t_lo, t_hi)
+        _, t_lo, t_hi = self._grid
         lo = hi = a.coords[-1] << s
         for c in reversed(a.coords[:-1]):
             # theta > 1, so t_lo > 0 and each bound's sign picks its endpoint

@@ -15,7 +15,8 @@ from .errors import InvalidParameters, PisotLabError, PrecisionExhausted
 from .field import FieldElement, NumberField
 from .intervals import RatInterval
 
-# theta precision at which an adjacent magnitude pair is left undecided
+# theta precision that every non-zero entry of an adjacent magnitude pair must
+# reach before the pair is left undecided
 COMPARATOR_CAP_BITS = 1 << 16
 # Largest exponent evaluated exactly: ``--exact-limit 6000 suite --name
 # atypical --pmax 6000`` takes 65 s (2 vCPU, Python 3.11).
@@ -150,8 +151,6 @@ class MagEntry:
         self._diff = cell.element.shift_constant(-cell.integer_part)
 
     def refine(self, field: NumberField) -> None:
-        if self.exact_zero:
-            return
         self.bits *= 2
         self.interval = field.eval_interval(self._diff, self.bits).abs_()
 
@@ -161,7 +160,7 @@ class MagnitudeRow:
     level: int
     entries: tuple[MagEntry, ...]
     # per adjacent pair (n, n+1): 'lt', 'gt', 'eq', or None when the pair
-    # could not be separated within the bit cap
+    # stayed unseparated with every non-zero entry at the bit cap
     pair_order: tuple[str | None, ...]
 
     def incomparable_pairs(self) -> list[tuple[int, int]]:
@@ -172,33 +171,39 @@ class MagnitudeRow:
         ]
 
 
-def _pair_status(a: MagEntry, b: MagEntry) -> str | None:
+def _pair_status(field: NumberField, a: MagEntry, b: MagEntry) -> str | None:
     if a._diff == b._diff or a._diff == -b._diff:
         return "eq"  # identical absolute value, certified structurally
-    # an exact zero's magnitude is the point 0, so it needs no rule of its own
-    if a.interval.hi < b.interval.lo:
-        return "lt"
-    if b.interval.hi < a.interval.lo:
-        return "gt"
-    return None
+    # not both exact zeros, or the diffs would be equal
+    nonzero = [e for e in (a, b) if not e.exact_zero]
+    while True:
+        # an exact zero's magnitude is the point 0, so it needs no rule of its own
+        if a.interval.hi < b.interval.lo:
+            return "lt"
+        if b.interval.hi < a.interval.lo:
+            return "gt"
+        # refine the looser entry; min keeps the first on a tie
+        loose = min(nonzero, key=lambda e: e.bits)
+        if loose.bits >= COMPARATOR_CAP_BITS:
+            return None
+        loose.refine(field)
 
 
 def frac_magnitudes(table: IterateTable, k: int) -> MagnitudeRow:
     """Magnitude enclosures for level k, refined until every adjacent pair is
-    ordered (or certified equal); pairs still ambiguous at the cap are left
-    as None in pair_order rather than raised here."""
+    ordered (or certified equal).
+
+    An undecided pair refines only its looser entry: the non-zero one with
+    fewer bits, the first on a tie, so an entry already sharpened for the
+    previous pair is not sharpened again.  A pair is left as None in
+    pair_order, not raised here, only once every non-zero entry of it has
+    reached COMPARATOR_CAP_BITS.
+    """
     cells = table.cells_at_level(k)
     if not cells:
         # a level of the table is empty only when every column failed at or below it
         err = PrecisionExhausted if 0 <= k <= table.k_max else InvalidParameters
         raise err(f"no cells available at level {k}")
     entries = [MagEntry(c) for c in cells]
-    order: list[str | None] = []
-    for a, b in zip(entries, entries[1:]):
-        status = _pair_status(a, b)
-        while status is None and max(a.bits, b.bits) < COMPARATOR_CAP_BITS:
-            a.refine(table.field)
-            b.refine(table.field)
-            status = _pair_status(a, b)
-        order.append(status)
+    order = [_pair_status(table.field, a, b) for a, b in zip(entries, entries[1:])]
     return MagnitudeRow(level=k, entries=tuple(entries), pair_order=tuple(order))

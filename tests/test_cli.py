@@ -633,8 +633,7 @@ def _overlapping_chain(monkeypatch):
 
 def _no_comparator_refinement(monkeypatch):
     # silver's first level-0 enclosures overlap from n = 50 on
-    for module in (pisotlab.transform, pisotlab.conjectures):
-        monkeypatch.setattr(module, "COMPARATOR_CAP_BITS", 64)
+    monkeypatch.setattr(pisotlab.transform, "COMPARATOR_CAP_BITS", 64)
 
 
 def _silver_level0_to_53():

@@ -48,7 +48,6 @@ BOUNDS = [
     # the precision caps of the adaptive loops
     (pisotlab.field, "CAP_BITS", 4096),
     (pisotlab.transform, "COMPARATOR_CAP_BITS", 1024),
-    (pisotlab.conjectures, "COMPARATOR_CAP_BITS", 1024),
 ]
 BUDGET_S = 4.0
 EXIT_CODES = {0, 2, 3, 4, 5, 6}

@@ -21,8 +21,10 @@ from pisotlab.conjectures import (
     heart_expectations,
     run_suite,
 )
+import pisotlab.conjectures
+import pisotlab.transform
 from pisotlab.catalog import load_catalog
-from pisotlab.errors import InvalidParameters, RecurrenceUnavailable
+from pisotlab.errors import InvalidParameters, PrecisionExhausted, RecurrenceUnavailable
 from pisotlab.field import NumberField
 from pisotlab.poly import IntPolynomial, PairRelation, SymmetryClass, alpha_poly
 from pisotlab.primes import primes_between
@@ -194,6 +196,19 @@ def test_convergence_plastic_level0_no_onset() -> None:
     kinds = {v.kind for v in rep.violations}
     assert "increase" in kinds
     assert max(v.n for v in rep.violations if v.kind == "increase") == 79
+
+
+def test_convergence_error_quotes_the_cap_frac_magnitudes_used(monkeypatch) -> None:
+    # transform holds the only binding of the cap, so patching it there
+    # changes both the comparisons and the message
+    assert not hasattr(pisotlab.conjectures, "COMPARATOR_CAP_BITS")
+    monkeypatch.setattr(pisotlab.transform, "COMPARATOR_CAP_BITS", 64)
+    table = build_table(NumberField.from_poly([-1, -2, 1]), 0, 1, 53)
+    with pytest.raises(PrecisionExhausted) as info:
+        convergence_check(table, 0)
+    assert str(info.value) == (
+        "magnitude pairs [(50, 51), (51, 52), (52, 53)] undecided at 64 bits"
+    )
 
 
 def _reference_convergence(row):

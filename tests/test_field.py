@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import pisotlab.field
 from pisotlab.catalog import load_catalog
 from pisotlab.errors import InvalidParameters
 from pisotlab.field import NumberField
@@ -146,6 +147,52 @@ def test_eval_interval_contains_exact_horner(field, coords, bits) -> None:
     got = field.eval_interval(a, bits)
     assert got.lo <= exact.lo and exact.hi <= got.hi
     assert got.width - exact.width <= Fraction(1, 1 << bits)
+
+
+def _reference_eval_interval(field: NumberField, a, bits: int) -> RatInterval:
+    """eval_interval as it reads with no state kept between calls: the width
+    as a Fraction, then the scale and both theta mantissas, on every call."""
+    tv = field.theta_enclosure(bits)
+    w = tv.width
+    s = max(bits, w.denominator.bit_length() - w.numerator.bit_length()) + 8
+    t_lo = (tv.lo.numerator << s) // tv.lo.denominator
+    t_hi = -((-tv.hi.numerator << s) // tv.hi.denominator)
+    lo = hi = a.coords[-1] << s
+    for c in reversed(a.coords[:-1]):
+        lo = ((lo * (t_lo if lo >= 0 else t_hi)) >> s) + (c << s)
+        hi = -((-hi * (t_hi if hi >= 0 else t_lo)) >> s) + (c << s)
+    return RatInterval(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
+
+
+def _assert_theta_bits(field: NumberField) -> None:
+    # the largest b with width <= 2**-b
+    w, b = field._theta_iv.width, field._theta_bits
+    assert w <= Fraction(2) ** -b and w > Fraction(2) ** -(b + 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, len(CATALOG_FIELDS) - 1), st.lists(COORD, min_size=6, max_size=6),
+       st.lists(st.integers(1, 600), min_size=1, max_size=6))
+def test_theta_state_kept_in_integers_matches_the_fraction_width(i, coords, bit_list) -> None:
+    # a fresh field on the same certificate, asked at precisions in any order
+    field = NumberField(CATALOG_FIELDS[i].min_poly, CATALOG_FIELDS[i].certificate)
+    a = field.element(coords[: field.degree])
+    assume(not a.is_rational)
+    _assert_theta_bits(field)
+    for bits in bit_list:
+        assert field.eval_interval(a, bits) == _reference_eval_interval(field, a, bits)
+        _assert_theta_bits(field)
+
+
+def test_a_point_theta_is_never_refined(monkeypatch) -> None:
+    # a degree-1 certificate encloses its integer theta by a point, which is
+    # as tight as any precision asks
+    def refine(*args):
+        raise AssertionError("refine_root called on a point")
+
+    monkeypatch.setattr(pisotlab.field, "refine_root", refine)
+    field = NumberField.from_poly([-2, 1])
+    assert field.theta_enclosure(1 << 20) == RatInterval.point(Fraction(2))
 
 
 def test_nearest_integer_golden_powers() -> None:

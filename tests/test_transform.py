@@ -1,17 +1,24 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pisotlab.catalog import load_catalog
 import pisotlab.field
+import pisotlab.transform
 from pisotlab.errors import InvalidParameters, PrecisionExhausted
 from pisotlab.field import START_BITS, NumberField
+from pisotlab.intervals import RatInterval
 from pisotlab.poly import IntPolynomial, alpha_poly
 from pisotlab.transform import (
     CELL_LIMIT,
     EXPONENT_LIMIT,
+    IterateCell,
+    MagEntry,
     build_table,
     frac_magnitudes,
     iterate_column,
@@ -140,18 +147,137 @@ def test_frac_magnitudes_orders_pairs() -> None:
     assert row.incomparable_pairs() == []
 
 
+@lru_cache(maxsize=None)
+def _catalog_table(name: str):
+    entry = load_catalog().get(name)
+    field = NumberField.from_poly(entry.poly)
+    return build_table(field, field.degree - 1, 1, 200)
+
+
 @pytest.mark.parametrize("entry", list(load_catalog()), ids=lambda e: e.name)
 def test_catalog_cells_certify_on_first_pass(entry) -> None:
     # outward rounding of the enclosures must never cost a cell a doubling
-    field = NumberField.from_poly(entry.poly)
-    table = build_table(field, field.degree - 1, 1, 200)
+    table = _catalog_table(entry.name)
     assert not table.failures
-    for k in range(field.degree):
+    for k in range(table.k_max + 1):
         for cell in table.cells_at_level(k):
             size = max(abs(c) for c in cell.element.coords).bit_length()
             first = 0 if cell.element.is_rational else START_BITS + size
             assert cell.bits == first, (k, cell.n)
         assert frac_magnitudes(table, k).incomparable_pairs() == []
+
+
+def _reference_status(a: MagEntry, b: MagEntry) -> str | None:
+    if a._diff == b._diff or a._diff == -b._diff:
+        return "eq"
+    if a.interval.hi < b.interval.lo:
+        return "lt"
+    if b.interval.hi < a.interval.lo:
+        return "gt"
+    return None
+
+
+def _reference_pair_order(table, k: int) -> tuple[str | None, ...]:
+    """pair_order by the earlier rule: an undecided pair refines both of its
+    non-zero entries, until either reaches the cap."""
+    entries = [MagEntry(c) for c in table.cells_at_level(k)]
+    order = []
+    for a, b in zip(entries, entries[1:]):
+        status = _reference_status(a, b)
+        while status is None and max(a.bits, b.bits) < pisotlab.transform.COMPARATOR_CAP_BITS:
+            for e in (a, b):
+                if not e.exact_zero:
+                    e.refine(table.field)
+            status = _reference_status(a, b)
+        order.append(status)
+    return tuple(order)
+
+
+@pytest.mark.parametrize("entry", list(load_catalog()), ids=lambda e: e.name)
+def test_pair_order_matches_the_refine_both_rule_on_the_catalog(entry) -> None:
+    table = _catalog_table(entry.name)
+    for k in range(table.k_max + 1):
+        assert frac_magnitudes(table, k).pair_order == _reference_pair_order(table, k), k
+
+
+@st.composite
+def _perron_polys(draw) -> list[int]:
+    # |a_{d-1}| > 1 + sum of the other |a_i| (a_0 != 0) leaves d - 1 roots
+    # inside the unit circle, so a negative a_{d-1} makes a Pisot polynomial
+    d = draw(st.integers(2, 6))
+    low = [draw(st.sampled_from([-2, -1, 1, 2]))]
+    low += draw(st.lists(st.integers(-2, 2), min_size=d - 2, max_size=d - 2))
+    top = 2 + sum(abs(c) for c in low) + draw(st.integers(0, 2))
+    return low + [-top, 1]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(_perron_polys(), st.integers(2, 120))
+def test_pair_order_matches_the_refine_both_rule_on_pisot_polys(coeffs, n_hi) -> None:
+    field = NumberField.from_poly(coeffs)
+    table = build_table(field, field.degree - 1, 1, n_hi)
+    for k in range(table.k_max + 1):
+        assert frac_magnitudes(table, k).pair_order == _reference_pair_order(table, k), k
+
+
+def _count_evals(monkeypatch, field: NumberField) -> list:
+    seen = []
+    inner = field.eval_interval
+
+    def counted(a, bits):
+        seen.append(a)
+        return inner(a, bits)
+
+    monkeypatch.setattr(field, "eval_interval", counted)
+    return seen
+
+
+def test_frac_magnitudes_refines_only_the_looser_entry(monkeypatch) -> None:
+    # golden_square level 0 at n <= 400, each rule on a fresh field so that
+    # both start from the same theta
+    poly = load_catalog().get("golden_square").poly
+    counts = []
+    for rule in (frac_magnitudes, _reference_pair_order):
+        table = build_table(NumberField.from_poly(poly), 0, 1, 400)
+        seen = _count_evals(monkeypatch, table.field)
+        rule(table, 0)
+        counts.append(len(seen))
+    assert counts == [354, 706]
+    assert counts[0] <= 0.6 * counts[1]
+
+
+def test_frac_magnitudes_never_refines_an_exact_zero(monkeypatch) -> None:
+    # golden's level 0 at n = 200 lies within 2**-138 of its integer, so its
+    # first enclosure, good to about 2**-64, does not exclude the zero next
+    # to it; only that entry refines, and the pair is decided
+    field = NumberField.from_poly([-1, -1, 1])
+    table = build_table(field, 0, 199, 200)
+    table._store(IterateCell(level=0, n=199, element=field.one(), integer_part=1,
+                             magnitude=RatInterval.point(Fraction(0)), bits=0,
+                             exact_zero=True))
+    live = table.cell(0, 200)
+    assert live.magnitude.lo == 0
+    seen = _count_evals(monkeypatch, field)
+    row = frac_magnitudes(table, 0)
+    assert row.pair_order == ("lt",)
+    assert seen and set(seen) == {live.element.shift_constant(-live.integer_part)}
+    assert row.entries[0].bits == 8
+
+
+def test_undecided_only_once_both_entries_reach_the_cap(monkeypatch) -> None:
+    # at cap 160, silver's level-0 pair (75, 76) starts at 158 and 160 bits:
+    # the refine-both rule gives up at once, this rule first takes n = 75
+    # to 316 bits
+    monkeypatch.setattr(pisotlab.transform, "COMPARATOR_CAP_BITS", 160)
+    table = build_table(NumberField.from_poly([-1, -2, 1]), 0, 1, 80)
+    assert (table.cell(0, 75).bits, table.cell(0, 76).bits) == (158, 160)
+    row = frac_magnitudes(table, 0)
+    stuck = row.incomparable_pairs()
+    assert stuck[0] == (75, 76)
+    by_n = {e.n: e for e in row.entries}
+    for pair in stuck:
+        assert all(by_n[n].bits >= 160 for n in pair), pair
+    assert by_n[75].bits == 316
 
 
 def test_frac_magnitudes_exact_zero_ties() -> None:
