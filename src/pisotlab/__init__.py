@@ -41,7 +41,7 @@ from .errors import (
     RecurrenceUnavailable,
     ResidualTooLarge,
 )
-from .field import FieldElement, NumberField
+from .field import NumberField
 from .intervals import RatInterval
 from .limits import (
     LimitPointSolution,
@@ -82,7 +82,6 @@ __all__ = [
     "ConstantVerdict",
     "ConvergenceReport",
     "ExpectationSet",
-    "FieldElement",
     "IntPolynomial",
     "InvalidParameters",
     "IterateCell",

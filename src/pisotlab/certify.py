@@ -7,10 +7,10 @@ unit circle.  Both routes decide on exact data, never on floating point.
 integers and returns what a field needs (verdict, theta bracket, radius).
 `certify_pisot` isolates every root with sympy's collins-krandick style
 interval machinery and encloses each conjugate modulus; the ``certify``
-command and the ``limits solve`` record print those enclosures.  A caller
-that needs no enclosures (`NumberField.from_poly`, `solve_log_equation`)
-passes ``enclosures=False``: `certify_pisot` then returns the proof, and
-isolates only when it declines.
+command prints those enclosures.  A caller that needs no enclosures
+(`NumberField.from_poly`, `solve_log_equation`, so the ``limits solve``
+record) passes ``enclosures=False``: `certify_pisot` then returns the
+proof, and isolates only when it declines.
 
 Certified geometry is the verdict PISOT on both routes: by Kronecker's
 argument (see the `field` module docstring) a monic p with p(0) != 0 whose

@@ -289,7 +289,7 @@ def cmd_iterate(args, out) -> int:
     field = NumberField.from_poly(poly)
     table = build_table(field, k_max, n_lo, n_hi)
     for k in range(k_max + 1):
-        cells = [c for c in table.cells_at_level(k) if n_lo <= c.n <= n_hi]
+        cells = table.cells_at_level(k)
         writer.record(
             "row",
             {
@@ -434,8 +434,7 @@ def cmd_limits(args, out) -> int:
             _solution_payload(
                 sol,
                 unit_root_multiplicity=sol.unit_root_multiplicity,
-                # the record prints sympy's root enclosures
-                certificate=certificate_payload(certify_pisot(sol.poly)),
+                certificate=certificate_payload(sol.certificate),
             ),
         )
         writer.close()

@@ -1,7 +1,7 @@
 """Exact arithmetic in Z[theta] for a certified Pisot number theta.
 
-Elements are coordinate vectors over the power basis 1, theta, ...,
-theta^(d-1); multiplication reduces via the companion relation
+Elements are plain tuples of integer coordinates over the power basis 1,
+theta, ..., theta^(d-1); multiplication reduces via the companion relation
 theta^d = -(a_{d-1} theta^{d-1} + ... + a_0).  Because certified geometry
 forces irreducibility (a proper monic integer factor would need all of its
 roots strictly inside the unit circle, impossible with a nonzero constant
@@ -11,14 +11,13 @@ higher coordinates vanish.
 The only approximate step anywhere is `eval_interval`, which returns a
 rational enclosure computed from a bisection-refined enclosure of theta by
 Horner's rule on integer mantissas, every product rounded outward;
-`nearest_integer` wraps it in an adaptive precision loop whose answer is
-certified, never guessed.
+`round_with_enclosure` wraps it in an adaptive precision loop whose answer
+is certified, never guessed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -33,29 +32,6 @@ from .poly import IntPolynomial
 # is refused.
 START_BITS = 64
 CAP_BITS = 1 << 20
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A vector of integer power-basis coordinates; context (the field) is
-    supplied by the NumberField that operates on it."""
-
-    coords: tuple[int, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    @property
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(tuple(-c for c in self.coords))
-
-    def shift_constant(self, z: int) -> "FieldElement":
-        """self + z (z an integer, added to the constant coordinate)."""
-        return FieldElement((self.coords[0] + z,) + self.coords[1:])
 
 
 class NumberField:
@@ -83,7 +59,7 @@ class NumberField:
 
     # -- construction of elements -------------------------------------------
 
-    def element(self, coords: Iterable[int]) -> FieldElement:
+    def element(self, coords: Iterable[int]) -> tuple[int, ...]:
         """The element with these power-basis coordinates, zero-padded to the
         degree; the one place coordinates are checked, since every element
         of Z[theta] has integer ones."""
@@ -95,12 +71,12 @@ class NumberField:
         for c in coords:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise InvalidParameters(f"coordinate must be an int, got {c!r}")
-        return FieldElement(coords + (0,) * (self.degree - len(coords)))
+        return coords + (0,) * (self.degree - len(coords))
 
-    def one(self) -> FieldElement:
+    def one(self) -> tuple[int, ...]:
         return self.element((1,))
 
-    def theta(self) -> FieldElement:
+    def theta(self) -> tuple[int, ...]:
         if self.degree == 1:
             # theta is the integer -a_0 in a degree-1 field
             return self.element((-self.min_poly.coeff(0),))
@@ -108,16 +84,15 @@ class NumberField:
 
     # -- ring operations ------------------------------------------------------
 
-    def element_mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
+    def element_mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         d = self.degree
-        ca, cb = a.coords, b.coords
-        if len(ca) != d or len(cb) != d:
+        if len(a) != d or len(b) != d:
             raise InvalidParameters("elements do not belong to this field")
         conv = [0] * (2 * d - 1)
-        for i, x in enumerate(ca):
+        for i, x in enumerate(a):
             if x == 0:
                 continue
-            for j, y in enumerate(cb):
+            for j, y in enumerate(b):
                 conv[i + j] += x * y
         # fold the top coefficient back in by the minimal polynomial, top
         # down, so every fold lands on a power still to be folded or kept
@@ -125,13 +100,13 @@ class NumberField:
         for k in range(2 * d - 2, d - 1, -1):
             over = conv[k]
             if over:
-                for j, a in enumerate(low, k - d):
-                    conv[j] -= over * a
-        return FieldElement(tuple(conv[:d]))
+                for j, c in enumerate(low, k - d):
+                    conv[j] -= over * c
+        return tuple(conv[:d])
 
     mul = element_mul
 
-    def theta_power(self, n: int) -> FieldElement:
+    def theta_power(self, n: int) -> tuple[int, ...]:
         """Coordinates of theta**n (n >= 0), read from the list theta^0,
         theta^1, ..., which grows by one product with theta per missing
         power."""
@@ -169,7 +144,7 @@ class NumberField:
             self._set_theta(refine_root(self.min_poly, self._theta_iv, bits))
         return self._theta_iv
 
-    def eval_interval(self, a: FieldElement, precision_bits: int) -> RatInterval:
+    def eval_interval(self, a: tuple[int, ...], precision_bits: int) -> RatInterval:
         """Rational enclosure of the real value of ``a`` computed from a theta
         enclosure of width <= 2**-precision_bits.
 
@@ -178,10 +153,10 @@ class NumberField:
         enclosure.  The endpoint mantissas t_lo, t_hi are kept for the last
         s until theta's enclosure changes.
         """
-        if len(a.coords) != self.degree:
+        if len(a) != self.degree:
             raise InvalidParameters("element does not belong to this field")
-        if a.is_rational:
-            return RatInterval.point(Fraction(a.coords[0]))
+        if not any(a[1:]):
+            return RatInterval.point(Fraction(a[0]))
         tv = self.theta_enclosure(precision_bits)
         # s follows the cached enclosure, which may be far tighter than
         # asked for; at this s its dyadic endpoints lie on the grid exactly
@@ -191,8 +166,8 @@ class NumberField:
             t_hi = -((-tv.hi.numerator << s) // tv.hi.denominator)
             self._grid = (s, t_lo, t_hi)
         _, t_lo, t_hi = self._grid
-        lo = hi = a.coords[-1] << s
-        for c in reversed(a.coords[:-1]):
+        lo = hi = a[-1] << s
+        for c in reversed(a[:-1]):
             # theta > 1, so t_lo > 0 and each bound's sign picks its endpoint
             lo = ((lo * (t_lo if lo >= 0 else t_hi)) >> s) + (c << s)
             hi = -((-hi * (t_hi if hi >= 0 else t_lo)) >> s) + (c << s)
@@ -200,7 +175,7 @@ class NumberField:
 
     # -- certified rounding ---------------------------------------------------
 
-    def round_with_enclosure(self, a: FieldElement) -> tuple[int, RatInterval, int]:
+    def round_with_enclosure(self, a: tuple[int, ...]) -> tuple[int, RatInterval, int]:
         """Nearest integer to the value of ``a`` plus the enclosure that
         certified it and the theta precision used.
 
@@ -209,9 +184,9 @@ class NumberField:
         the enclosure must exclude both neighbouring half-integers, and the
         theta precision doubles until it does.
         """
-        if a.is_rational:
-            return a.coords[0], self.eval_interval(a, 0), 0
-        bits = START_BITS + max(abs(c) for c in a.coords).bit_length()
+        if not any(a[1:]):
+            return a[0], self.eval_interval(a, 0), 0
+        bits = START_BITS + max(abs(c) for c in a).bit_length()
         while bits <= CAP_BITS:
             e = self.eval_interval(a, bits)
             # z = floor(mid + 1/2), decided in integers on the endpoints
@@ -224,6 +199,3 @@ class NumberField:
             f"rounding undecided at {CAP_BITS} bits "
             "(value may be pathologically close to a half-integer)"
         )
-
-    def nearest_integer(self, a: FieldElement) -> int:
-        return self.round_with_enclosure(a)[0]

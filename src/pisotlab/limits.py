@@ -139,9 +139,11 @@ def solve_log_equation(spec: LogEquationSpec) -> LimitPointSolution:
             "%s solved to a non-Pisot root: %s" % (spec.label(), cert.failure_reason)
         )
     field = NumberField(reduced, cert)
-    theta, m = field.theta(), spec.m
-    a = theta.shift_constant(-m) if spec.family == "spade" else (-theta).shift_constant(m)
-    b = theta.shift_constant(spec.l - m) if spec.family == "heart" else field.one()
+    # the open window has integer ends, so theta is no integer and the
+    # degree is at least 2: theta's coordinates are (0, 1)
+    m = spec.m
+    a = field.element((-m, 1) if spec.family == "spade" else (m, -1))
+    b = field.element((spec.l - m, 1) if spec.family == "heart" else (1,))
     if field.element_mul(a, field.theta_power(spec.n)) != b:
         raise ResidualTooLarge("%s: A(theta) theta^n != B(theta) in Z[theta]" % spec.label())
     return LimitPointSolution(reduced, mult, root, cert)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InvalidParameters, PisotLabError, PrecisionExhausted
-from .field import FieldElement, NumberField
+from .field import NumberField
 from .intervals import RatInterval
 
 # theta precision that every non-zero entry of an adjacent magnitude pair must
@@ -30,11 +30,16 @@ CELL_LIMIT = 36000
 class IterateCell:
     level: int
     n: int
-    element: FieldElement          # the iterate I^level(theta^n) itself
+    element: tuple[int, ...]       # the iterate I^level(theta^n) itself
     integer_part: int              # [I^level(theta^n)]
     magnitude: RatInterval         # enclosure of |I^level - integer_part|
     bits: int                      # theta precision that certified the cell
     exact_zero: bool               # fractional part is exactly 0
+
+
+def _fractional(x: tuple[int, ...], u: int) -> tuple[int, ...]:
+    """The fractional element x - u of an iterate x with integer part u."""
+    return (x[0] - u,) + x[1:]
 
 
 def iterate_column(field: NumberField, n: int, k_max: int) -> Iterator[IterateCell]:
@@ -46,7 +51,7 @@ def iterate_column(field: NumberField, n: int, k_max: int) -> Iterator[IterateCe
     x = field.theta_power(n)
     for k in range(k_max + 1):
         u, enclosure, bits = field.round_with_enclosure(x)
-        diff = x.shift_constant(-u)
+        diff = _fractional(x, u)
         yield IterateCell(
             level=k,
             n=n,
@@ -54,7 +59,7 @@ def iterate_column(field: NumberField, n: int, k_max: int) -> Iterator[IterateCe
             integer_part=u,
             magnitude=enclosure.shift(-u).abs_(),
             bits=bits,
-            exact_zero=diff.is_zero,
+            exact_zero=not any(diff),
         )
         if k < k_max:
             x = field.element_mul(field.theta_power(n), diff)
@@ -148,7 +153,7 @@ class MagEntry:
         self.interval = cell.magnitude
         self.bits = max(cell.bits, 8)
         self.exact_zero = cell.exact_zero
-        self._diff = cell.element.shift_constant(-cell.integer_part)
+        self._diff = _fractional(cell.element, cell.integer_part)
 
     def refine(self, field: NumberField) -> None:
         self.bits *= 2
@@ -172,7 +177,7 @@ class MagnitudeRow:
 
 
 def _pair_status(field: NumberField, a: MagEntry, b: MagEntry) -> str | None:
-    if a._diff == b._diff or a._diff == -b._diff:
+    if a._diff == b._diff or a._diff == tuple(-c for c in b._diff):
         return "eq"  # identical absolute value, certified structurally
     # not both exact zeros, or the diffs would be equal
     nonzero = [e for e in (a, b) if not e.exact_zero]

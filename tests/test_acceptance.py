@@ -386,7 +386,7 @@ def test_criterion_10_rounding_certification() -> None:
             theta, _ = _mp_roots(entry.poly)
             for _ in range(1000):
                 coords = tuple(rng.randint(-64000, 64000) for _ in range(d))
-                mine = field.nearest_integer(field.element(coords))
+                mine = field.round_with_enclosure(field.element(coords))[0]
                 direct = mp.mpf(0)
                 for c in reversed(coords):
                     direct = direct * theta + c

@@ -25,6 +25,7 @@ from pisotlab.intervals import RatInterval
 from pisotlab.limits import ordering_check
 from pisotlab.poly import IntPolynomial, alpha_poly, classify_pair
 from pisotlab.recurrence import Recurrence, modular_extend
+from pisotlab.report import certificate_payload
 from pisotlab.transform import build_table
 
 GOLDEN_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "catalog_cli.jsonl"
@@ -424,6 +425,24 @@ def test_limits_solve(capsys) -> None:
     assert sol["root"]["bits"] == pisotlab.limits.DEFAULT_SOLVE_BITS
 
 
+def test_limits_solve_prints_the_proof_that_solved_it(capsys) -> None:
+    # the disk count proves spade(1000, 26) with conjugates inside radius
+    # 15/16 and brackets theta by [1, 1 + max|a_i|]; no second certification
+    spec = pisotlab.limits.LogEquationSpec("spade", 1000, 26)
+    proof = pisotlab.limits.solve_log_equation(spec).certificate
+    code, lines, _ = run(
+        capsys, ["limits", "solve", "--family", "spade", "--m", "1000", "--n", "26"]
+    )
+    assert code == 0
+    cert = records(lines, "solution")[0]["certificate"]
+    assert cert == certificate_payload(proof)
+    assert cert["conjugate_bound"] == "15/16"
+    root = cert["dominant_root"]
+    assert (Fraction(root["lo"]), Fraction(root["hi"])) == (1, 1001)
+    assert cert["irreducibility_witness"] is None
+    assert "conjugate_moduli" not in cert
+
+
 def test_suite_family_root_at_the_window_end(capsys) -> None:
     # the root lies within 2^-192 of m = 10^10, where the mpmath gate refused
     code, lines, _ = run(capsys, ["suite", "--family", "heart:10000000000,7,1",
@@ -790,13 +809,15 @@ print(code, "sympy" in sys.modules)
     [
         (["suite", "--name", "golden", "--pmax", "13"], False),
         (["iterate", "--name", "plastic", "--n", "1:40"], False),
-        # these print sympy's root enclosures, so they still isolate with sympy
+        # certify prints sympy's root enclosures, so it still isolates with sympy
         (["certify", "--name", "golden"], True),
-        (["limits", "solve", "--family", "spade", "--m", "2", "--n", "3"], True),
+        # limits solve prints the disk-count proof that solved it
+        (["limits", "solve", "--family", "spade", "--m", "2", "--n", "3"], False),
         (["generate", "--target", "7"], False),
         (["suite", "--family", "heart:2,2,1", "--pmax", "13"], False),
         (["limits", "identities", "--n", "1:2"], False),
         (["limits", "ordering", "--count", "2"], False),
+        (["limits", "solve", "--family", "spade", "--m", "1000", "--n", "26"], False),
     ],
 )
 def test_which_commands_import_sympy(argv, imports_sympy) -> None:

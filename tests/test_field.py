@@ -9,11 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pisotlab.field
+import pisotlab.transform
 from pisotlab.catalog import load_catalog
 from pisotlab.errors import InvalidParameters
 from pisotlab.field import NumberField
 from pisotlab.intervals import RatInterval
-from pisotlab.poly import IntPolynomial
+from pisotlab.poly import IntPolynomial, alpha_poly, beta_poly
 
 GOLDEN = NumberField.from_poly([-1, -1, 1])
 PLASTIC = NumberField.from_poly([-1, -1, 0, 1])
@@ -22,9 +23,9 @@ DELTA2 = NumberField.from_poly([1, 0, -2, -1, 1])
 
 def test_element_padding_and_rationality() -> None:
     e = GOLDEN.element((3,))
-    assert e.coords == (3, 0)
-    assert e.is_rational
-    assert not GOLDEN.theta().is_rational
+    assert e == (3, 0)
+    assert not any(e[1:])
+    assert any(GOLDEN.theta()[1:])
 
 
 def test_from_poly_refuses_a_float_coefficient() -> None:
@@ -44,7 +45,7 @@ def test_theta_satisfies_its_equation() -> None:
         acc = field.one()
         total = (0,) * field.degree
         for c in field.min_poly.coeffs:
-            total = tuple(s + c * x for s, x in zip(total, acc.coords))
+            total = tuple(s + c * x for s, x in zip(total, acc))
             acc = field.element_mul(acc, t)
         assert not any(total)
 
@@ -117,7 +118,7 @@ def test_theta_power_matches_repeated_multiplication() -> None:
             roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
             theta = max(mpmath.re(r) for r in roots)
             for n in range(60):
-                coords = field.theta_power(n).coords
+                coords = field.theta_power(n)
                 value = sum(c * theta**j for j, c in enumerate(coords))
                 assert abs(value - theta**n) <= mpmath.mpf(10) ** -40 * theta**n, (field, n)
 
@@ -128,7 +129,39 @@ def test_theta_power_matches_repeated_multiplication_in_any_order(i, ns) -> None
     # a fresh field on the same certificate, asked for powers out of order
     field = NumberField(POWER_FIELDS[i].min_poly, POWER_FIELDS[i].certificate)
     for n in ns + [120]:
-        assert field.theta_power(n).coords == POWERS_BY_SHIFT[i][n]
+        assert field.theta_power(n) == POWERS_BY_SHIFT[i][n]
+
+
+# the catalog and the first five points of both limit families
+PRODUCT_FIELDS = CATALOG_FIELDS + [
+    NumberField.from_poly(family(n)) for family in (alpha_poly, beta_poly) for n in range(1, 6)
+]
+BIG_COORDS = st.lists(st.integers(-(2**200), 2**200), min_size=6, max_size=6)
+
+
+def _remainder(p: IntPolynomial, field: NumberField) -> tuple[int, ...]:
+    """Coordinates of p(theta): the remainder of p by schoolbook long
+    division by the monic minimal polynomial, zero-padded to the degree."""
+    d, m = field.degree, field.min_poly.coeffs
+    r = list(p.coeffs) + [0] * d
+    for k in range(len(r) - 1, d - 1, -1):
+        q = r[k]
+        for j in range(d + 1):
+            r[k - d + j] -= q * m[j]
+    assert not any(r[d:])
+    return tuple(r[:d])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.integers(0, len(PRODUCT_FIELDS) - 1), BIG_COORDS, BIG_COORDS, st.integers(0, 60))
+def test_products_are_exact_remainders_of_polynomial_products(i, xs, ys, n) -> None:
+    field = PRODUCT_FIELDS[i]
+    d = field.degree
+    a, b = field.element(xs[:d]), field.element(ys[:d])
+    product = IntPolynomial.from_coeffs(xs[:d]) * IntPolynomial.from_coeffs(ys[:d])
+    assert field.element_mul(a, b) == _remainder(product, field)
+    x_n = IntPolynomial.from_coeffs([0] * n + [1])
+    assert field.theta_power(n) == _remainder(x_n, field)
 
 
 # From 16 bits on, every catalog theta enclosure has dyadic endpoints (the
@@ -139,10 +172,10 @@ def test_theta_power_matches_repeated_multiplication_in_any_order(i, ns) -> None
        st.integers(16, 1024))
 def test_eval_interval_contains_exact_horner(field, coords, bits) -> None:
     a = field.element(coords[: field.degree])
-    assume(not a.is_rational)
+    assume(any(a[1:]))
     tv = field.theta_enclosure(bits)
-    exact = RatInterval.point(a.coords[-1])
-    for c in reversed(a.coords[:-1]):
+    exact = RatInterval.point(a[-1])
+    for c in reversed(a[:-1]):
         exact = (exact * tv).shift(c)
     got = field.eval_interval(a, bits)
     assert got.lo <= exact.lo and exact.hi <= got.hi
@@ -157,8 +190,8 @@ def _reference_eval_interval(field: NumberField, a, bits: int) -> RatInterval:
     s = max(bits, w.denominator.bit_length() - w.numerator.bit_length()) + 8
     t_lo = (tv.lo.numerator << s) // tv.lo.denominator
     t_hi = -((-tv.hi.numerator << s) // tv.hi.denominator)
-    lo = hi = a.coords[-1] << s
-    for c in reversed(a.coords[:-1]):
+    lo = hi = a[-1] << s
+    for c in reversed(a[:-1]):
         lo = ((lo * (t_lo if lo >= 0 else t_hi)) >> s) + (c << s)
         hi = -((-hi * (t_hi if hi >= 0 else t_lo)) >> s) + (c << s)
     return RatInterval(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
@@ -177,7 +210,7 @@ def test_theta_state_kept_in_integers_matches_the_fraction_width(i, coords, bit_
     # a fresh field on the same certificate, asked at precisions in any order
     field = NumberField(CATALOG_FIELDS[i].min_poly, CATALOG_FIELDS[i].certificate)
     a = field.element(coords[: field.degree])
-    assume(not a.is_rational)
+    assume(any(a[1:]))
     _assert_theta_bits(field)
     for bits in bit_list:
         assert field.eval_interval(a, bits) == _reference_eval_interval(field, a, bits)
@@ -199,7 +232,7 @@ def test_nearest_integer_golden_powers() -> None:
     # [phi^n] follows the Lucas numbers from n=2
     lucas = [2, 1, 3, 4, 7, 11, 18, 29, 47, 76, 123]
     for n in range(2, 11):
-        assert GOLDEN.nearest_integer(GOLDEN.theta_power(n)) == lucas[n]
+        assert GOLDEN.round_with_enclosure(GOLDEN.theta_power(n))[0] == lucas[n]
 
 
 def test_round_with_enclosure_certifies() -> None:
@@ -227,20 +260,20 @@ def test_rounding_random_elements_against_direct_eval() -> None:
                 coords = [rng.randint(-50, 50) for _ in range(field.degree)]
                 val = sum(c * theta**i for i, c in enumerate(coords))
                 want = int(mpmath.nint(val))
-                got = field.nearest_integer(field.element(coords))
+                got = field.round_with_enclosure(field.element(coords))[0]
                 assert got == want
 
 
 def test_degree_one_field() -> None:
     f = NumberField.from_poly([-4, 1])
     t = f.theta()
-    assert t.coords == (4,)
-    assert f.nearest_integer(f.theta_power(3)) == 64
+    assert t == (4,)
+    assert f.round_with_enclosure(f.theta_power(3))[0] == 64
 
 
 def test_shift_constant() -> None:
-    e = GOLDEN.theta().shift_constant(-2)
-    assert e.coords == (-2, 1)
+    # the fractional element theta - 2 shifts only the constant coordinate
+    assert pisotlab.transform._fractional(GOLDEN.theta(), 2) == (-2, 1)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -305,4 +338,4 @@ def test_integer_coordinates_never_give_a_half_integer(drawn) -> None:
     a = field.element(coords[: field.degree])
     z, enclosure, bits = field.round_with_enclosure(a)
     assert enclosure.lo > z - Fraction(1, 2) and enclosure.hi < z + Fraction(1, 2)
-    assert (bits == 0) == a.is_rational
+    assert (bits == 0) == (not any(a[1:]))
