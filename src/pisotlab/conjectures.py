@@ -151,6 +151,8 @@ def check_scan_range(p_lo: int, p_hi: int, exact_limit: int) -> None:
     exact_top = min(p_hi, exact_limit)
     if exact_top > EXPONENT_LIMIT:
         raise InvalidParameters("exponents run up to %d, not %d" % (EXPONENT_LIMIT, exact_top))
+    if not primes_between(p_lo, p_hi):
+        raise InvalidParameters("no prime in the range %d..%d" % (p_lo, p_hi))
 
 
 def congruence_scan(

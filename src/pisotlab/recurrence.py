@@ -6,8 +6,13 @@ Detection policy: smallest order whose relation fits the tail window of the
 sequence exactly (window length 2*order + 4), with the onset then walked
 back as far as the relation keeps holding.  The fit is solved exactly on
 integer rows, so a detected recurrence is a statement about the sequence,
-not an approximation.  Extension modulo p reduces x^e modulo the
-characteristic polynomial (Fiduccia, SIAM J. Comput. 14(1), 1985).
+not an approximation.  Most orders do not fit, and a small prime proves it
+first: if order j fits over Q, every (j+1)-minor of its augmented rows is 0,
+hence 0 mod p, so rows of full column rank j + 1 mod p cannot fit, and the
+exact solve runs only on the orders that this refutation does not reach.
+The answer therefore never depends on the prime.  Extension modulo p
+reduces x^e modulo the characteristic polynomial (Fiduccia, SIAM J.
+Comput. 14(1), 1985).
 """
 
 from __future__ import annotations
@@ -49,6 +54,30 @@ class Recurrence:
         )
 
 
+# the largest prime below 2**15: residues and their products fit in one
+# 30-bit digit
+_FILTER_PRIME = 32749
+
+
+def _full_rank_mod(m: list[list[int]], p: int) -> bool:
+    """Whether the rows ``m`` (residues mod the prime p) have full column
+    rank modulo p.  Eliminates column by column, dropping each pivot row and
+    each eliminated column, so ``m`` is consumed."""
+    for _ in range(len(m[0])):
+        pr = next((i for i, row in enumerate(m) if row[0]), None)
+        if pr is None:
+            return False
+        prow = m.pop(pr)
+        inv = pow(prow[0], -1, p)
+        tail = [b * inv % p for b in prow[1:]]
+        rest = []
+        for row in m:
+            f = row[0]
+            rest.append([(a - f * b) % p for a, b in zip(row[1:], tail)] if f else row[1:])
+        m = rest
+    return True
+
+
 def _solve_exact(m: list[list[int]], j: int) -> list[Fraction] | None:
     """Fraction-free Gauss-Jordan on the augmented integer rows ``m`` (j
     coefficient columns, then the right-hand side), in place: each row stays
@@ -85,18 +114,26 @@ def detect_recurrence(seq: Sequence[int]) -> Recurrence:
     The fit window is the last 2*order + 4 terms; the order search is
     therefore capped at len(seq)//2 - 2.  Raises NoRecurrenceFound when
     nothing fits.
+
+    An order whose augmented rows have full column rank modulo
+    ``_FILTER_PRIME`` is skipped without an exact solve: a rank over Q is
+    at least the rank mod p, so those rows have no rational solution.  Every
+    other order is solved exactly, so the result is the same for any prime.
     """
     seq = list(seq)
     length = len(seq)
     cap = length // 2 - 2
     if cap < 1:
         raise NoRecurrenceFound(f"sequence of length {length} is too short")
+    p = _FILTER_PRIME
+    seq_p = [u % p for u in seq]
     for j in range(1, cap + 1):
         # one equation u_i = sum_k b_k u_{i-k} per index i of the window's tail
-        rows = [
-            [seq[i - k] for k in range(1, j + 1)] + [seq[i]]
-            for i in range(length - j - 4, length)
-        ]
+        window = range(length - j - 4, length)
+        # the residue rows hold the same columns in another order: same rank
+        if _full_rank_mod([seq_p[i - j : i + 1] for i in window], p):
+            continue
+        rows = [[seq[i - k] for k in range(1, j + 1)] + [seq[i]] for i in window]
         b = _solve_exact(rows, j)
         if b is None:
             continue

@@ -102,6 +102,8 @@ PARSE_ERROR_TEXT = {
     ("--exact-limit", "6001", "generate", "--target", "7", "--pmax", "6001"):
         "exponents run up to 6000, not 6001",
     ("limits", "ordering", "--bits", "2049"): "precision is at most 2048 bits, not 2049",
+    # a scan of no prime has no branch to grade
+    ("suite", "--name", "golden", "--plo", "24", "--pmax", "28"): "no prime in the range 24..28",
     ("limits", "identities", "--bits", str(10**30)):
         "precision is at most 2048 bits, not %d" % 10**30,
 }
@@ -128,6 +130,7 @@ PARSE_ERROR_TEXT = {
         ["certify", "--poly", "-1,,1"],
         ["certify", "--poly", "-1,0,1,"],
         ["suite", "--name", "golden", "--plo", "50", "--pmax", "10"],
+        ["suite", "--name", "golden", "--plo", "24", "--pmax", "28"],
         ["suite", "--name", "golden", "--pmax", "1"],
         ["suite", "--name", "golden", "--kmax", "-1"],
         ["suite", "--name", "golden", "--nmax", "0"],

@@ -121,6 +121,13 @@ def test_congruence_scan_bad_range() -> None:
         congruence_scan(GOLDEN, 0, 50, 10)
 
 
+def test_congruence_scan_refuses_a_range_without_primes() -> None:
+    # 24..28 holds no prime, and a scan of no prime has no branch
+    with pytest.raises(InvalidParameters, match="^no prime in the range 24..28$"):
+        congruence_scan(GOLDEN, 0, 24, 28)
+    assert congruence_scan(GOLDEN, 0, 23, 23).primes == (23,)
+
+
 def test_congruence_scan_exact_range_is_bounded() -> None:
     # the exact range is min(p_hi, exact_limit), so either one may pass the bound
     top = EXPONENT_LIMIT

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from pisotlab.poly import (
     plastic_poly,
     poly_from_terms,
 )
+from pisotlab import recurrence
 from pisotlab.recurrence import (
     VARIANTS,
     PredictedRecurrence,
@@ -493,6 +495,145 @@ def _recurrence_rows(draw):
 @given(_recurrence_rows())
 def test_detect_matches_reference(seq) -> None:
     assert _outcome(detect_recurrence, seq) == _outcome(_reference_detect, seq)
+
+
+# -- the prime filter against detection without it ----------------------------
+
+
+def _unfiltered_solve(m, j, solves):
+    """_solve_exact as it was before the prime filter, counting its calls."""
+    solves[0] += 1
+    pivots = []
+    r = 0
+    for c in range(j):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow, pv = m[r], m[r][c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and f:
+                row = [pv * a - f * b for a, b in zip(row, prow)]
+                g = math.gcd(*row)
+                m[i] = [a // g for a in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    if any(row[j] for row in m[r:]):
+        return None
+    sol = [Fraction(0)] * j
+    for i, c in enumerate(pivots):
+        sol[c] = Fraction(m[i][j], m[i][c])
+    return sol
+
+
+def _unfiltered_detect(seq, solves=None):
+    """detect_recurrence as it was before the prime filter: one fraction-free
+    exact solve per order until one fits."""
+    solves = [0] if solves is None else solves
+    seq = list(seq)
+    length = len(seq)
+    cap = length // 2 - 2
+    if cap < 1:
+        raise NoRecurrenceFound(f"sequence of length {length} is too short")
+    for j in range(1, cap + 1):
+        rows = [
+            [seq[i - k] for k in range(1, j + 1)] + [seq[i]]
+            for i in range(length - j - 4, length)
+        ]
+        b = _unfiltered_solve(rows, j, solves)
+        if b is None:
+            continue
+        den = math.lcm(*(c.denominator for c in b))
+        ib = [c.numerator * (den // c.denominator) for c in b]
+        i = length
+        while i > j and den * seq[i - 1] == sum(
+            c * seq[i - 2 - k] for k, c in enumerate(ib)
+        ):
+            i -= 1
+        coeffs = tuple(int(c) if c.denominator == 1 else c for c in b)
+        return Recurrence(order=j, coeffs=coeffs, onset=max(0, i - j))
+    raise NoRecurrenceFound(
+        f"no linear recurrence of order <= {cap} fits the sequence tail"
+    )
+
+
+def _field_rows(poly, n_hi):
+    table = build_table(NumberField.from_poly(poly), poly.degree - 1, 1, n_hi)
+    return [table.u_sequence(k)[1] for k in range(poly.degree)]
+
+
+@pytest.fixture(scope="module")
+def filter_rows():
+    """Every catalog row at n <= 199, alpha and beta 1-5 at n <= 97 and 5-8
+    at n <= 60, each with the unfiltered outcome, and the number of exact
+    solves the unfiltered detection made on them."""
+    rows = _catalog_rows(199)
+    for n, n_hi in [(n, 97) for n in range(1, 6)] + [(n, 60) for n in range(5, 9)]:
+        rows += _field_rows(alpha_poly(n), n_hi) + _field_rows(beta_poly(n), n_hi)
+    solves = [0]
+    return [(seq, _outcome(_unfiltered_detect, seq, solves)) for seq in rows], solves[0]
+
+
+# the default prime, and primes small enough that the exact fallback runs often
+FILTER_PRIMES = [recurrence._FILTER_PRIME, 2, 3]
+
+
+@pytest.mark.parametrize("prime", FILTER_PRIMES)
+def test_filtered_detection_matches_unfiltered_on_field_rows(
+    monkeypatch, filter_rows, prime
+) -> None:
+    monkeypatch.setattr(recurrence, "_FILTER_PRIME", prime)
+    rows, _ = filter_rows
+    for seq, expected in rows:
+        assert _outcome(detect_recurrence, seq) == expected
+
+
+def test_filter_leaves_one_exact_solve_per_recurrence(monkeypatch, filter_rows) -> None:
+    rows, unfiltered_solves = filter_rows
+    solves = [0]
+    solve = recurrence._solve_exact
+
+    def counted(m, j):
+        solves[0] += 1
+        return solve(m, j)
+
+    monkeypatch.setattr(recurrence, "_solve_exact", counted)
+    found = 0
+    for seq, expected in rows:
+        before = solves[0]
+        outcome = _outcome(detect_recurrence, seq)
+        # the solve that finds the order is the only one; a row without a
+        # recurrence is refuted mod p at every order
+        if isinstance(outcome, Recurrence):
+            found += 1
+            assert solves[0] - before == 1, seq
+        else:
+            assert solves[0] == before, seq
+    assert (len(rows), found, solves[0], unfiltered_solves) == (123, 90, 90, 1461)
+
+
+@st.composite
+def _planted_long_rows(draw):
+    """Planted recurrences of order <= 12 with coefficients up to 10**6 in
+    size after a noisy head, at length <= 120."""
+    order = draw(st.integers(1, 12))
+    coeffs = draw(st.lists(st.integers(-10**6, 10**6), min_size=order, max_size=order))
+    head = draw(st.lists(st.integers(-10**6, 10**6), max_size=8))
+    seq = draw(st.lists(st.integers(-9, 9), min_size=order, max_size=order))
+    length = draw(st.integers(0, 120))
+    while len(head) + len(seq) < length:
+        seq.append(sum(c * seq[-k] for k, c in enumerate(coeffs, start=1)))
+    return (head + seq)[:length]
+
+
+@pytest.mark.parametrize("prime", FILTER_PRIMES)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(_recurrence_rows(), _planted_long_rows()))
+def test_filtered_detection_matches_unfiltered(prime, seq) -> None:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recurrence, "_FILTER_PRIME", prime)
+        assert _outcome(detect_recurrence, seq) == _outcome(_unfiltered_detect, seq)
 
 
 def _reference_extend(r, initial_terms, p, target_index):
