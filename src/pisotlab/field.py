@@ -9,21 +9,21 @@ term), coordinates are unique and an element is rational exactly when its
 higher coordinates vanish.
 
 The only approximate step anywhere is `eval_interval`, which returns a
-rational enclosure computed from a bisection-refined enclosure of theta by
-Horner's rule on integer mantissas, every product rounded outward;
-`round_with_enclosure` wraps it in an adaptive precision loop whose answer
-is certified, never guessed.
+dyadic enclosure (integer mantissas at scale 2**-s) computed from a
+bisection-refined enclosure of theta by Horner's rule on those mantissas,
+every product rounded outward; `round_with_enclosure` wraps it in an
+adaptive precision loop whose answer is certified, never guessed, and
+decided on the mantissas by shifts.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .certify import PisotCertificate, certify_pisot, refine_root
 from .errors import InvalidParameters, NotPisot, PrecisionExhausted
-from .intervals import RatInterval
+from .intervals import DyadicInterval, RatInterval
 from .poly import IntPolynomial
 
 # Certified rounding starts START_BITS above an element's coordinate size and
@@ -144,9 +144,10 @@ class NumberField:
             self._set_theta(refine_root(self.min_poly, self._theta_iv, bits))
         return self._theta_iv
 
-    def eval_interval(self, a: tuple[int, ...], precision_bits: int) -> RatInterval:
-        """Rational enclosure of the real value of ``a`` computed from a theta
-        enclosure of width <= 2**-precision_bits.
+    def eval_interval(self, a: tuple[int, ...], precision_bits: int) -> DyadicInterval:
+        """Dyadic enclosure of the real value of ``a`` computed from a theta
+        enclosure of width <= 2**-precision_bits; a rational element is its
+        own point at scale 1.
 
         Horner runs on integer mantissas at scale 2**-s; every product is
         rounded outward, so the result contains the exact interval Horner
@@ -156,7 +157,7 @@ class NumberField:
         if len(a) != self.degree:
             raise InvalidParameters("element does not belong to this field")
         if not any(a[1:]):
-            return RatInterval.point(Fraction(a[0]))
+            return DyadicInterval(a[0], a[0], 0)
         tv = self.theta_enclosure(precision_bits)
         # s follows the cached enclosure, which may be far tighter than
         # asked for; at this s its dyadic endpoints lie on the grid exactly
@@ -171,28 +172,28 @@ class NumberField:
             # theta > 1, so t_lo > 0 and each bound's sign picks its endpoint
             lo = ((lo * (t_lo if lo >= 0 else t_hi)) >> s) + (c << s)
             hi = -((-hi * (t_hi if hi >= 0 else t_lo)) >> s) + (c << s)
-        return RatInterval(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
+        return DyadicInterval(lo, hi, s)
 
     # -- certified rounding ---------------------------------------------------
 
-    def round_with_enclosure(self, a: tuple[int, ...]) -> tuple[int, RatInterval, int]:
+    def round_with_enclosure(self, a: tuple[int, ...]) -> tuple[int, DyadicInterval, int]:
         """Nearest integer to the value of ``a`` plus the enclosure that
         certified it and the theta precision used.
 
         A rational value is an integer, its own nearest, with its point as
-        enclosure at 0 bits.  Any other value is decided by one integer test:
-        the enclosure must exclude both neighbouring half-integers, and the
-        theta precision doubles until it does.
+        enclosure at 0 bits.  Any other value is decided by one integer test
+        on the enclosure's mantissas: it must exclude both neighbouring
+        half-integers, and the theta precision doubles until it does.
         """
         if not any(a[1:]):
             return a[0], self.eval_interval(a, 0), 0
         bits = START_BITS + max(abs(c) for c in a).bit_length()
         while bits <= CAP_BITS:
             e = self.eval_interval(a, bits)
-            # z = floor(mid + 1/2), decided in integers on the endpoints
-            (ln, ld), (hn, hd) = e.lo.as_integer_ratio(), e.hi.as_integer_ratio()
-            z = (ln * hd + hn * ld + ld * hd) // (2 * ld * hd)
-            if 2 * ln > (2 * z - 1) * ld and 2 * hn < (2 * z + 1) * hd:
+            lo, hi, s = e.lo_man, e.hi_man, e.exp
+            # z = floor(mid + 1/2), decided on the mantissas at scale 2**-s
+            z = (lo + hi + (1 << s)) >> (s + 1)
+            if 2 * lo > (2 * z - 1) << s and 2 * hi < (2 * z + 1) << s:
                 return z, e, bits
             bits *= 2
         raise PrecisionExhausted(

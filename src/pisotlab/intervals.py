@@ -1,13 +1,15 @@
-"""Exact rational interval arithmetic.
+"""Exact interval arithmetic.
 
-Endpoints are Fractions, every operation rounds outward only in the sense of
-taking min/max over endpoint combinations, so enclosures are exact: the true
-value of an expression is always inside the computed interval.  The hot
-enclosure of a field element (`NumberField.eval_interval`) does not use
-these operations: it works on integer mantissas, rounds each product
-outward to its grid, and builds one RatInterval at the end.  Helpers at the
-bottom convert to directed-rounded mpmath floats and to outward decimal
-strings for reporting.
+`RatInterval` has Fraction endpoints; every operation rounds outward only in
+the sense of taking min/max over endpoint combinations, so enclosures are
+exact: the true value of an expression is always inside the computed
+interval.  `DyadicInterval` is the Z[theta] core's enclosure: integer
+mantissas over one power-of-two scale, with only the shift, absolute value
+and strict ordering that certified rounding and magnitude comparison use.
+`NumberField.eval_interval` runs Horner on those mantissas, rounds each
+product outward to its grid and returns the mantissas as they are.  Helpers
+at the bottom convert to directed-rounded mpmath floats and to outward
+decimal strings for reporting.
 """
 
 from __future__ import annotations
@@ -78,6 +80,40 @@ class RatInterval:
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
+
+
+class DyadicInterval:
+    """The interval [lo_man * 2**-exp, hi_man * 2**-exp] for integer
+    mantissas and an exponent exp >= 0."""
+
+    __slots__ = ("lo_man", "hi_man", "exp")
+
+    def __init__(self, lo_man: int, hi_man: int, exp: int):
+        if lo_man > hi_man:
+            raise InvalidParameters(f"inverted interval [{lo_man}, {hi_man}] * 2**-{exp}")
+        self.lo_man = lo_man
+        self.hi_man = hi_man
+        self.exp = exp
+
+    def shift(self, c: int) -> "DyadicInterval":
+        c <<= self.exp
+        return DyadicInterval(self.lo_man + c, self.hi_man + c, self.exp)
+
+    def abs_(self) -> "DyadicInterval":
+        if self.lo_man >= 0:
+            return self
+        if self.hi_man <= 0:
+            return DyadicInterval(-self.hi_man, -self.lo_man, self.exp)
+        return DyadicInterval(0, max(-self.lo_man, self.hi_man), self.exp)
+
+    def below(self, other: "DyadicInterval") -> bool:
+        """Whether every point of self is strictly below every point of
+        other.  The mantissa on the coarser scale is shifted onto the finer
+        one, so the test is exact."""
+        d = self.exp - other.exp
+        if d >= 0:
+            return self.hi_man < other.lo_man << d
+        return self.hi_man << -d < other.lo_man
 
 
 def sqrt_upper(q: Fraction, bits: int = 96) -> Fraction:

@@ -13,7 +13,7 @@ from typing import Iterator
 
 from .errors import InvalidParameters, PisotLabError, PrecisionExhausted
 from .field import NumberField
-from .intervals import RatInterval
+from .intervals import DyadicInterval
 
 # theta precision that every non-zero entry of an adjacent magnitude pair must
 # reach before the pair is left undecided
@@ -32,7 +32,7 @@ class IterateCell:
     n: int
     element: tuple[int, ...]       # the iterate I^level(theta^n) itself
     integer_part: int              # [I^level(theta^n)]
-    magnitude: RatInterval         # enclosure of |I^level - integer_part|
+    magnitude: DyadicInterval      # dyadic enclosure of |I^level - integer_part|
     bits: int                      # theta precision that certified the cell
     exact_zero: bool               # fractional part is exactly 0
 
@@ -183,9 +183,9 @@ def _pair_status(field: NumberField, a: MagEntry, b: MagEntry) -> str | None:
     nonzero = [e for e in (a, b) if not e.exact_zero]
     while True:
         # an exact zero's magnitude is the point 0, so it needs no rule of its own
-        if a.interval.hi < b.interval.lo:
+        if a.interval.below(b.interval):
             return "lt"
-        if b.interval.hi < a.interval.lo:
+        if b.interval.below(a.interval):
             return "gt"
         # refine the looser entry; min keeps the first on a tie
         loose = min(nonzero, key=lambda e: e.bits)

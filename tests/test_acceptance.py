@@ -496,7 +496,8 @@ def test_criterion_12_frac_magnitude_convergence_onsets() -> None:
         rho = certify_pisot(entry.poly).conjugate_bound
         for e in frac_magnitudes(table, 0).entries:
             bound = (entry.degree - 1) * rho**e.n
-            if bound < half and e.interval.lo > bound:
+            lo = Fraction(e.interval.lo_man, 1 << e.interval.exp)
+            if bound < half and lo > bound:
                 failures.append((entry.name, 0, e.n, "magnitude above (d-1)*rho^n"))
         with mp.workdps(150):
             theta, conjugates = _mp_roots(entry.poly)

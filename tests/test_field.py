@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import random
 from fractions import Fraction
 
@@ -13,12 +15,17 @@ import pisotlab.transform
 from pisotlab.catalog import load_catalog
 from pisotlab.errors import InvalidParameters
 from pisotlab.field import NumberField
-from pisotlab.intervals import RatInterval
+from pisotlab.intervals import DyadicInterval, RatInterval
 from pisotlab.poly import IntPolynomial, alpha_poly, beta_poly
 
 GOLDEN = NumberField.from_poly([-1, -1, 1])
 PLASTIC = NumberField.from_poly([-1, -1, 0, 1])
 DELTA2 = NumberField.from_poly([1, 0, -2, -1, 1])
+
+
+def _rat(iv: DyadicInterval) -> RatInterval:
+    """The same interval with Fraction endpoints."""
+    return RatInterval(Fraction(iv.lo_man, 1 << iv.exp), Fraction(iv.hi_man, 1 << iv.exp))
 
 
 def test_element_padding_and_rationality() -> None:
@@ -68,8 +75,8 @@ def test_multiplication_commutes_with_evaluation() -> None:
             a = field.element([rng.randint(-9, 9) for _ in range(d)])
             b = field.element([rng.randint(-9, 9) for _ in range(d)])
             prod = field.element_mul(a, b)
-            iva, ivb = field.eval_interval(a, 80), field.eval_interval(b, 80)
-            ivp = field.eval_interval(prod, 80)
+            iva, ivb = _rat(field.eval_interval(a, 80)), _rat(field.eval_interval(b, 80))
+            ivp = _rat(field.eval_interval(prod, 80))
             # the true value of a*b lies in both enclosures, so they overlap
             both = iva * ivb
             assert ivp.lo <= both.hi and both.lo <= ivp.hi
@@ -80,7 +87,7 @@ def test_eval_interval_against_mpmath() -> None:
     with mpmath.workdps(120):
         theta = mpmath.findroot(lambda x: x**2 - x - 1, 1.6)
         e = GOLDEN.element((-3, 7))
-        iv = GOLDEN.eval_interval(e, 200)
+        iv = _rat(GOLDEN.eval_interval(e, 200))
         val = -3 + 7 * theta
         assert mpmath.mpf(iv.lo.numerator) / iv.lo.denominator <= val
         assert mpmath.mpf(iv.hi.numerator) / iv.hi.denominator >= val
@@ -177,7 +184,7 @@ def test_eval_interval_contains_exact_horner(field, coords, bits) -> None:
     exact = RatInterval.point(a[-1])
     for c in reversed(a[:-1]):
         exact = (exact * tv).shift(c)
-    got = field.eval_interval(a, bits)
+    got = _rat(field.eval_interval(a, bits))
     assert got.lo <= exact.lo and exact.hi <= got.hi
     assert got.width - exact.width <= Fraction(1, 1 << bits)
 
@@ -213,7 +220,7 @@ def test_theta_state_kept_in_integers_matches_the_fraction_width(i, coords, bit_
     assume(any(a[1:]))
     _assert_theta_bits(field)
     for bits in bit_list:
-        assert field.eval_interval(a, bits) == _reference_eval_interval(field, a, bits)
+        assert _rat(field.eval_interval(a, bits)) == _reference_eval_interval(field, a, bits)
         _assert_theta_bits(field)
 
 
@@ -238,6 +245,7 @@ def test_nearest_integer_golden_powers() -> None:
 def test_round_with_enclosure_certifies() -> None:
     e = DELTA2.element((0, 0, 0, 1))
     z, enc, bits = DELTA2.round_with_enclosure(e)
+    enc = _rat(enc)
     assert enc.lo > z - Fraction(1, 2)
     assert enc.hi < z + Fraction(1, 2)
     assert bits > 0
@@ -281,8 +289,8 @@ def test_shift_constant() -> None:
 def test_nearest_integer_rational_elements(field, v) -> None:
     # a rational element of Z[theta] is an integer, its own nearest, with
     # its point as enclosure at 0 bits
-    got = field.round_with_enclosure(field.element((v,)))
-    assert got == (v, RatInterval.point(Fraction(v)), 0)
+    z, enc, bits = field.round_with_enclosure(field.element((v,)))
+    assert (z, _rat(enc), bits) == (v, RatInterval.point(Fraction(v)), 0)
 
 
 def _rational_rounding_reference(v: int | Fraction) -> tuple[int, RatInterval, int]:
@@ -312,7 +320,11 @@ RATIONALS = st.one_of(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.sampled_from(POWER_FIELDS), RATIONALS)
 def test_rational_rounding_matches_the_rational_reference(field, v) -> None:
-    got = _outcome(lambda: field.round_with_enclosure(field.element((v,))))
+    def rounded():
+        z, enc, bits = field.round_with_enclosure(field.element((v,)))
+        return z, _rat(enc), bits
+
+    got = _outcome(rounded)
     assert got == _outcome(lambda: _rational_rounding_reference(v))
 
 
@@ -337,5 +349,17 @@ def test_integer_coordinates_never_give_a_half_integer(drawn) -> None:
     field, coords = drawn
     a = field.element(coords[: field.degree])
     z, enclosure, bits = field.round_with_enclosure(a)
+    enclosure = _rat(enclosure)
     assert enclosure.lo > z - Fraction(1, 2) and enclosure.hi < z + Fraction(1, 2)
     assert (bits == 0) == (not any(a[1:]))
+
+
+def test_field_and_transform_import_nothing_from_fractions() -> None:
+    # their enclosures are dyadic; theta's own RatInterval is read, not built
+    for module in (pisotlab.field, pisotlab.transform):
+        tree = ast.parse(inspect.getsource(module))
+        imported = [
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names
+        ] + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert not [m for m in imported if m and m.split(".")[0] == "fractions"], module

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pisotlab.errors import InvalidParameters
 from pisotlab.intervals import (
+    DyadicInterval,
     RatInterval,
     decimal_lower,
     decimal_upper,
@@ -147,3 +150,78 @@ def test_iv_to_interval_rejects_non_finite() -> None:
         mpmath.iv.prec = saved
     with pytest.raises(InvalidParameters):
         iv_to_interval(bad)
+
+
+# -- dyadic enclosures ---------------------------------------------------------
+
+
+def _value(iv: DyadicInterval) -> tuple[Fraction, Fraction]:
+    return Fraction(iv.lo_man, 1 << iv.exp), Fraction(iv.hi_man, 1 << iv.exp)
+
+
+MANTISSA = st.integers(-(2**70), 2**70)
+EXP = st.integers(0, 40)
+
+
+@st.composite
+def _dyadic(draw) -> DyadicInterval:
+    lo = draw(st.one_of(st.just(0), MANTISSA))
+    width = draw(st.one_of(st.just(0), st.integers(0, 2**70)))
+    return DyadicInterval(lo, lo + width, draw(EXP))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_dyadic(), st.integers(-(2**70), 2**70))
+@example(DyadicInterval(-3, 5, 2), 0)
+@example(DyadicInterval(-7, -1, 0), -2)
+def test_dyadic_shift_and_abs_match_fraction_arithmetic(iv, c) -> None:
+    lo, hi = _value(iv)
+    shifted = iv.shift(c)
+    assert shifted.exp == iv.exp
+    assert _value(shifted) == (lo + c, hi + c)
+    a = iv.abs_()
+    assert a.exp == iv.exp
+    ref = RatInterval(lo, hi).abs_()
+    assert _value(a) == (ref.lo, ref.hi)
+
+
+@st.composite
+def _dyadic_pairs(draw) -> tuple[DyadicInterval, DyadicInterval]:
+    """Two intervals at exponents that differ either way; a third of the
+    pairs touch, the upper end of the first equal to the lower end of the
+    second, written at both exponents."""
+    ea, eb = draw(EXP), draw(EXP)
+    a = draw(_dyadic())
+    a = DyadicInterval(a.lo_man, a.hi_man, ea)
+    if draw(st.integers(0, 2)) == 0:
+        # a value on both grids: m * 2**-min(ea, eb)
+        m = draw(MANTISSA)
+        top = m << (ea - min(ea, eb))
+        a = DyadicInterval(min(a.lo_man, top), top, ea)
+        lo_b = m << (eb - min(ea, eb))
+    else:
+        lo_b = draw(MANTISSA)
+    b = DyadicInterval(lo_b, lo_b + draw(st.integers(0, 2**70)), eb)
+    return a, b
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_dyadic_pairs())
+@example((DyadicInterval(0, 4, 2), DyadicInterval(1, 3, 0)))    # touching at 1
+@example((DyadicInterval(0, 1, 0), DyadicInterval(4, 8, 2)))    # touching at 1
+@example((DyadicInterval(-2, 3, 2), DyadicInterval(1, 1, 1)))   # 3/4 < 1/2 is false
+@example((DyadicInterval(-2, 1, 1), DyadicInterval(3, 3, 2)))   # 1/2 < 3/4
+@example((DyadicInterval(0, 0, 0), DyadicInterval(0, 0, 5)))    # zero is not below zero
+def test_dyadic_below_is_the_strict_fraction_order(pair) -> None:
+    a, b = pair
+    (a_lo, a_hi), (b_lo, b_hi) = _value(a), _value(b)
+    assert a.below(b) == (a_hi < b_lo)
+    assert b.below(a) == (b_hi < a_lo)
+
+
+def test_dyadic_inverted_mantissas_rejected() -> None:
+    with pytest.raises(InvalidParameters):
+        DyadicInterval(1, 0, 3)
+    with pytest.raises(InvalidParameters):
+        DyadicInterval(-1, -2, 0)
+    assert _value(DyadicInterval(5, 5, 3)) == (Fraction(5, 8), Fraction(5, 8))

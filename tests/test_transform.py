@@ -11,8 +11,8 @@ from pisotlab.catalog import load_catalog
 import pisotlab.field
 import pisotlab.transform
 from pisotlab.errors import InvalidParameters, PrecisionExhausted
-from pisotlab.field import START_BITS, NumberField
-from pisotlab.intervals import RatInterval
+from pisotlab.field import CAP_BITS, START_BITS, NumberField
+from pisotlab.intervals import DyadicInterval, RatInterval
 from pisotlab.poly import IntPolynomial, alpha_poly
 from pisotlab.transform import (
     CELL_LIMIT,
@@ -27,6 +27,11 @@ from pisotlab.transform import (
 GOLDEN = NumberField.from_poly([-1, -1, 1])
 SILVER = NumberField.from_poly([-1, -2, 1])
 PLASTIC = NumberField.from_poly([-1, -1, 0, 1])
+
+
+def _rat(iv: DyadicInterval) -> RatInterval:
+    """The same interval with Fraction endpoints."""
+    return RatInterval(Fraction(iv.lo_man, 1 << iv.exp), Fraction(iv.hi_man, 1 << iv.exp))
 
 
 def test_level0_is_nearest_integers_of_powers() -> None:
@@ -64,14 +69,16 @@ def test_exact_zero_cells_propagate_zeros() -> None:
             cell = table.cell(k, n)
             assert cell.integer_part == 0
             assert cell.exact_zero
-            assert cell.magnitude.lo == 0 and cell.magnitude.hi == 0
+            magnitude = _rat(cell.magnitude)
+            assert magnitude.lo == 0 and magnitude.hi == 0
 
 
 def test_magnitude_encloses_fractional_part() -> None:
     table = build_table(PLASTIC, 2, 1, 25)
     for cell in table.cells_at_level(1):
-        assert cell.magnitude.lo >= 0
-        assert cell.magnitude.hi <= Fraction(1, 2)
+        magnitude = _rat(cell.magnitude)
+        assert magnitude.lo >= 0
+        assert magnitude.hi <= Fraction(1, 2)
 
 
 def test_silver_level1_alternates_from_n1() -> None:
@@ -170,9 +177,10 @@ def test_catalog_cells_certify_on_first_pass(entry) -> None:
 def _reference_status(a: MagEntry, b: MagEntry) -> str | None:
     if a._diff == b._diff or a._diff == tuple(-c for c in b._diff):
         return "eq"
-    if a.interval.hi < b.interval.lo:
+    ia, ib = _rat(a.interval), _rat(b.interval)
+    if ia.hi < ib.lo:
         return "lt"
-    if b.interval.hi < a.interval.lo:
+    if ib.hi < ia.lo:
         return "gt"
     return None
 
@@ -220,6 +228,137 @@ def test_pair_order_matches_the_refine_both_rule_on_pisot_polys(coeffs, n_hi) ->
         assert frac_magnitudes(table, k).pair_order == _reference_pair_order(table, k), k
 
 
+# -- the Fraction path the dyadic enclosures replaced --------------------------
+
+
+class _FractionPath:
+    """Enclosures, certified rounding and magnitude ordering as they were
+    computed on Fraction endpoints, counting enclosure calls.  It reads only
+    the field's exact ring operations and theta's enclosure."""
+
+    def __init__(self, field: NumberField):
+        self.field = field
+        self.evals = 0
+
+    def eval_interval(self, a, bits: int) -> RatInterval:
+        """Horner on integer mantissas with no state kept between calls,
+        then one Fraction per endpoint."""
+        self.evals += 1
+        if not any(a[1:]):
+            return RatInterval.point(Fraction(a[0]))
+        tv = self.field.theta_enclosure(bits)
+        w = tv.width
+        s = max(bits, w.denominator.bit_length() - w.numerator.bit_length()) + 8
+        t_lo = (tv.lo.numerator << s) // tv.lo.denominator
+        t_hi = -((-tv.hi.numerator << s) // tv.hi.denominator)
+        lo = hi = a[-1] << s
+        for c in reversed(a[:-1]):
+            lo = ((lo * (t_lo if lo >= 0 else t_hi)) >> s) + (c << s)
+            hi = -((-hi * (t_hi if hi >= 0 else t_lo)) >> s) + (c << s)
+        return RatInterval(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
+
+    def round(self, a) -> tuple[int, RatInterval, int]:
+        """The nearest integer by the as_integer_ratio rule."""
+        if not any(a[1:]):
+            return a[0], self.eval_interval(a, 0), 0
+        bits = START_BITS + max(abs(c) for c in a).bit_length()
+        while bits <= CAP_BITS:
+            e = self.eval_interval(a, bits)
+            (ln, ld), (hn, hd) = e.lo.as_integer_ratio(), e.hi.as_integer_ratio()
+            z = (ln * hd + hn * ld + ld * hd) // (2 * ld * hd)
+            if 2 * ln > (2 * z - 1) * ld and 2 * hn < (2 * z + 1) * hd:
+                return z, e, bits
+            bits *= 2
+        raise PrecisionExhausted("rounding undecided")
+
+    def table(self, k_max: int, n_hi: int) -> dict:
+        """(k, n) -> [u, magnitude, bits, exact_zero, diff] for every cell
+        rounded before its column's first failure."""
+        f, cells = self.field, {}
+        for n in range(1, n_hi + 1):
+            x = f.theta_power(n)
+            try:
+                for k in range(k_max + 1):
+                    u, e, bits = self.round(x)
+                    diff = (x[0] - u,) + x[1:]
+                    cells[(k, n)] = [u, e.shift(-u).abs_(), bits, not any(diff), diff]
+                    x = f.element_mul(f.theta_power(n), diff)
+            except PrecisionExhausted:
+                pass
+        return cells
+
+    def pair_order(self, row: list) -> tuple[str | None, ...]:
+        """Order adjacent magnitudes of a row of cells, refining the looser
+        non-zero entry of an undecided pair; the cells end as the final
+        entries, with their bits raised to at least 8."""
+        for c in row:
+            c[2] = max(c[2], 8)
+        order = []
+        for a, b in zip(row, row[1:]):
+            order.append(self._status(a, b))
+        return tuple(order)
+
+    def _status(self, a: list, b: list) -> str | None:
+        if a[4] == b[4] or a[4] == tuple(-c for c in b[4]):
+            return "eq"
+        nonzero = [e for e in (a, b) if not e[3]]
+        while True:
+            if a[1].hi < b[1].lo:
+                return "lt"
+            if b[1].hi < a[1].lo:
+                return "gt"
+            loose = min(nonzero, key=lambda e: e[2])
+            if loose[2] >= pisotlab.transform.COMPARATOR_CAP_BITS:
+                return None
+            loose[2] *= 2
+            loose[1] = self.eval_interval(loose[4], loose[2]).abs_()
+
+
+def _assert_same_as_the_fraction_path(monkeypatch, poly, n_hi: int) -> int:
+    """Build the table and every magnitude row of ``poly`` to ``n_hi`` on
+    dyadic enclosures and on the Fraction path, each on a fresh field, and
+    compare every cell, final entry and pair; the enclosure calls, which
+    agree, are returned."""
+    dyadic = NumberField.from_poly(poly)
+    reference = _FractionPath(NumberField(dyadic.min_poly, dyadic.certificate))
+    seen = _count_evals(monkeypatch, dyadic)
+    k_max = dyadic.degree - 1
+    table = build_table(dyadic, k_max, 1, n_hi)
+    cells = reference.table(k_max, n_hi)
+    assert sorted(table._cells) == sorted(cells)
+    for (k, n), (u, magnitude, bits, exact_zero, _) in cells.items():
+        cell = table.cell(k, n)
+        got = (cell.integer_part, _rat(cell.magnitude), cell.bits, cell.exact_zero)
+        assert got == (u, magnitude, bits, exact_zero), (k, n)
+    for k in range(k_max + 1):
+        row = [cells[(k, n)] for n in range(1, n_hi + 1) if (k, n) in cells]
+        if not row:
+            continue
+        order = reference.pair_order(row)
+        got = frac_magnitudes(table, k)
+        assert got.pair_order == order, k
+        assert [(e.bits, _rat(e.interval)) for e in got.entries] == [
+            (c[2], c[1]) for c in row
+        ], k
+    assert len(seen) == reference.evals
+    return reference.evals
+
+
+def test_dyadic_path_matches_the_fraction_path_on_the_catalog(monkeypatch) -> None:
+    # the deep_iterate pass: every catalog field, every level, n <= 400
+    evals = sum(
+        _assert_same_as_the_fraction_path(monkeypatch, e.poly, 400) for e in load_catalog()
+    )
+    assert evals == 11334
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(_perron_polys(), st.integers(2, 120))
+def test_dyadic_path_matches_the_fraction_path_on_pisot_polys(coeffs, n_hi) -> None:
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_same_as_the_fraction_path(monkeypatch, coeffs, n_hi)
+
+
 def _count_evals(monkeypatch, field: NumberField) -> list:
     seen = []
     inner = field.eval_interval
@@ -253,10 +392,10 @@ def test_frac_magnitudes_never_refines_an_exact_zero(monkeypatch) -> None:
     field = NumberField.from_poly([-1, -1, 1])
     table = build_table(field, 0, 199, 200)
     table._store(IterateCell(level=0, n=199, element=field.one(), integer_part=1,
-                             magnitude=RatInterval.point(Fraction(0)), bits=0,
+                             magnitude=DyadicInterval(0, 0, 0), bits=0,
                              exact_zero=True))
     live = table.cell(0, 200)
-    assert live.magnitude.lo == 0
+    assert _rat(live.magnitude).lo == 0
     seen = _count_evals(monkeypatch, field)
     row = frac_magnitudes(table, 0)
     assert row.pair_order == ("lt",)
