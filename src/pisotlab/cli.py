@@ -11,9 +11,9 @@ Commands:
 
 Exit codes: 0 success (including pure findings), 2 unparseable input,
 3 certified not-Pisot, 4 a precision cap or ``--bits`` too low to certify,
-5 a graded expectation failed, 6 an identity residual above ``--tol``, a
-log equation false in Z[theta] or no root in the family window, 141 stdout
-closed by its reader (no traceback).
+5 a graded expectation failed, 6 an identity residual above 1e-30
+(``limits.DEFAULT_TOL``), a log equation false in Z[theta] or no root in the
+family window, 141 stdout closed by its reader (no traceback).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import argparse
 import os
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 
 from . import catalog as catalog_mod
 from .certify import certify_pisot
@@ -83,17 +82,6 @@ _EXIT_CODES = (
 )
 
 
-def _parse_tol(text: str | Fraction) -> Fraction:
-    """A positive tolerance: '1e-30', a plain decimal, or 'p/q'."""
-    try:
-        tol = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidParameters("cannot parse tolerance %r: %s" % (text, exc)) from exc
-    if tol <= 0:
-        raise InvalidParameters("tolerance must be positive, got %s" % text)
-    return tol
-
-
 def _parse_poly(text: str) -> IntPolynomial:
     if not text.strip():
         raise InvalidParameters("empty coefficient list")
@@ -134,8 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact iterate tables, congruence scans, and limit-point "
         "construction for Pisot numbers.",
     )
-    p.add_argument("--tol", default=DEFAULT_TOL,
-                   help="residual tolerance of `limits identities` (default 1e-30)")
     p.add_argument("--exact-limit", type=int, default=EXACT_LIMIT_DEFAULT,
                    help="largest prime evaluated through the exact transform")
     p.add_argument("--catalog",
@@ -227,7 +213,6 @@ def main(argv: list[str] | None = None) -> int:
         "generate": cmd_generate,
     }[args.command]
     try:
-        args.tol = _parse_tol(args.tol)
         code = handler(args, sys.stdout)
         sys.stdout.flush()  # a closed pipe may first show on this flush
         return code
@@ -457,11 +442,11 @@ def cmd_limits(args, out) -> int:
         # a lower end above tol refutes an identity; an upper end not below it
         # shows only that the bits fell short
         lo, hi = max(r.lo for *_, r in residuals), max(r.hi for *_, r in residuals)
-        if lo > args.tol:
+        if lo > DEFAULT_TOL:
             writer.error("residual", "worst identity residual %s above tol" % lo)
             writer.close("residual_failure")
             return EXIT_RESIDUAL
-        if hi >= args.tol:
+        if hi >= DEFAULT_TOL:
             writer.error("precision", "residuals not below tol at %d bits" % args.id_bits)
             writer.close("precision_failure")
             return EXIT_ROUNDING
@@ -525,16 +510,20 @@ def cmd_generate(args, out) -> int:
             % suite.n_hi,
         },
     )
+    hit = False
     if level0.congruence is not None:
         writer.record("congruence", congruence_payload(level0.congruence))
-        branch = level0.congruence.branch
-        hit = branch.matches(m)
+        hit = level0.congruence.branch.matches(m)
         writer.record("target_check", {"target": enc_int(m), "achieved": hit})
-        writer.close() if hit else writer.close("expectation_failure")
-        return EXIT_OK if hit else EXIT_EXPECTATION
-    writer.error("scan", level0.congruence_error or "congruence scan unavailable")
-    writer.close("error")
-    return EXIT_EXPECTATION
+    # a precision cap takes precedence over the target check, as in cmd_suite
+    if _rounding_failures(writer, suite.table_failures):
+        return EXIT_ROUNDING
+    if level0.congruence is None:
+        writer.error("scan", level0.congruence_error)
+        writer.close("error")
+        return EXIT_EXPECTATION
+    writer.close() if hit else writer.close("expectation_failure")
+    return EXIT_OK if hit else EXIT_EXPECTATION
 
 
 if __name__ == "__main__":

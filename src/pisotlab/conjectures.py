@@ -20,7 +20,6 @@ keeps holding past the exact window).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -651,8 +650,6 @@ def _grade_constant(rep: LevelReport, exp: LevelExpectation) -> ExpectationOutco
     if exp.max_onset_index is not None:
         expected += " from n <= %d" % exp.max_onset_index
     verdict = rep.constant
-    if verdict is None:
-        return ExpectationOutcome(exp.level, "constant", False, expected, "not scanned")
     observed = "tail %s (onset %s, run %d)" % (
         verdict.kind, verdict.onset, verdict.run_length,
     )
@@ -672,7 +669,5 @@ def _grade_recurrence(rep: LevelReport, exp: LevelExpectation) -> ExpectationOut
     observed = "order %d coefficients %s (onset %d)" % (
         rep.recurrence.order, rep.recurrence.coeffs, rep.recurrence.onset,
     )
-    ok = tuple(Fraction(c) for c in rep.recurrence.coeffs) == tuple(
-        Fraction(c) for c in exp.recurrence_coeffs
-    )
+    ok = tuple(rep.recurrence.coeffs) == tuple(exp.recurrence_coeffs)
     return ExpectationOutcome(exp.level, "recurrence", ok, expected, observed)

@@ -30,10 +30,6 @@ class RatInterval:
     hi: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.lo, Fraction):
-            object.__setattr__(self, "lo", Fraction(self.lo))
-        if not isinstance(self.hi, Fraction):
-            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise InvalidParameters(f"inverted interval [{self.lo}, {self.hi}]")
 
@@ -49,9 +45,6 @@ class RatInterval:
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi
-
-    def __add__(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
 
     def __sub__(self, other: "RatInterval") -> "RatInterval":
         return RatInterval(self.lo - other.hi, self.hi - other.lo)

@@ -28,7 +28,6 @@ from .certify import PisotCertificate, certify_pisot, refine_root, sign_at
 from .errors import (
     InvalidParameters,
     NoRootInInterval,
-    NotPisot,
     PrecisionExhausted,
     ResidualTooLarge,
 )
@@ -125,7 +124,8 @@ def solve_log_equation(spec: LogEquationSpec) -> LimitPointSolution:
     ``enclosures=False``), and checks A(theta) theta^n = B(theta) in
     Z[theta].  That identity is the log equation itself: the window signs
     put theta above 1 and make every log argument positive.  A failed
-    check raises :class:`ResidualTooLarge` (the polynomial is wrong).
+    check raises :class:`ResidualTooLarge` (the polynomial is wrong); a
+    non-Pisot certificate is refused by `NumberField` with :class:`NotPisot`.
     """
     reduced, mult = strip_unit_root(spec.polynomial())
     if reduced.degree < 1:
@@ -134,10 +134,6 @@ def solve_log_equation(spec: LogEquationSpec) -> LimitPointSolution:
         )
     root = _window_root(reduced, DEFAULT_SOLVE_BITS, spec.root_window, spec.label())
     cert = certify_pisot(reduced, enclosures=False)
-    if not cert.geometry_ok:
-        raise NotPisot(
-            "%s solved to a non-Pisot root: %s" % (spec.label(), cert.failure_reason)
-        )
     field = NumberField(reduced, cert)
     # the open window has integer ends, so theta is no integer and the
     # degree is at least 2: theta's coordinates are (0, 1)
@@ -150,14 +146,11 @@ def solve_log_equation(spec: LogEquationSpec) -> LimitPointSolution:
 
 
 def _residual(spec: LogEquationSpec, root: RatInterval, prec: int) -> RatInterval:
-    """Certified |LHS - n| of the original logarithmic equation at ``root``."""
+    """Certified |LHS - n| of a club or heart equation at ``root``."""
     m = spec.m
-    if spec.family == "spade":
-        terms = [(-1, root.shift(Fraction(-m)))]  # -ln(x - m)
-    else:
-        terms = [(-1, RatInterval.point(m) - root)]  # -ln(m - x)
-        if spec.family == "heart":
-            terms.append((+1, root.shift(Fraction(spec.l - m))))  # +ln(x - m + l)
+    terms = [(-1, RatInterval.point(m) - root)]  # -ln(m - x)
+    if spec.family == "heart":
+        terms.append((+1, root.shift(Fraction(spec.l - m))))  # +ln(x - m + l)
     return _log_ratio(prec, root, terms).shift(-Fraction(spec.n)).abs_()
 
 

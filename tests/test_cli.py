@@ -106,6 +106,9 @@ PARSE_ERROR_TEXT = {
     ("suite", "--name", "golden", "--plo", "24", "--pmax", "28"): "no prime in the range 24..28",
     ("limits", "identities", "--bits", str(10**30)):
         "precision is at most 2048 bits, not %d" % 10**30,
+    ("suite", "--alpha", "0"): "error: --alpha needs N >= 1",
+    ("suite", "--beta", "0"): "error: --beta needs N >= 1",
+    ("iterate", "--name", "golden", "--n", "1:x"): "error: bad exponent range '1:x'",
 }
 
 
@@ -116,12 +119,9 @@ PARSE_ERROR_TEXT = {
         ["certify", "--name", "bronze"],
         ["iterate", "--name", "golden", "--n", "5:3"],
         ["iterate", "--name", "golden", "--n", "0:4"],
-        ["--tol", "junk", "certify", "--name", "golden"],
         ["generate", "--target", "1"],
-        ["--tol", "0", "limits", "identities"],
         ["limits", "ordering", "--bits", "-9"],
         ["limits", "ordering", "--count", "8", "--bits", "0"],
-        ["--tol", "0", "limits", "solve", "--family", "spade", "--m", "2", "--n", "3"],
         ["generate", "--target", "7", "--count", "0"],
         ["suite", "--family", "heart:3,2"],
         ["suite", "--family", "heart:3,2,1,1"],
@@ -150,6 +150,9 @@ PARSE_ERROR_TEXT = {
         ["limits", "ordering", "--bits", "2049"],
         # 10**30 bits raised OverflowError, a traceback
         ["limits", "identities", "--bits", str(10**30)],
+        ["suite", "--alpha", "0"],
+        ["suite", "--beta", "0"],
+        ["iterate", "--name", "golden", "--n", "1:x"],
     ],
 )
 def test_parse_errors_exit_2(capsys, argv) -> None:
@@ -234,17 +237,18 @@ def test_cell_bound_refuses_before_any_output(capsys) -> None:
 
 
 def test_identities_precision_shortfall_exits_4(capsys) -> None:
-    # identity I at n = 1 encloses its residual in [0, 2**-252] at 256 bits:
-    # nothing is certified above 1e-100, so the bits fell short
-    argv = ["--tol", "1e-100", "limits", "identities", "--n", "1:1"]
-    code, lines, _ = run(capsys, argv)
+    # at 64 bits no residual is certified above 1e-30, but not every one is
+    # certified below it either, so the bits fell short
+    argv = ["limits", "identities", "--n", "1"]
+    code, lines, _ = run(capsys, argv + ["--bits", "64"])
     assert code == 4
+    assert header(lines)["inputs"] == {"n": [1, 1], "bits": 64}
     assert len(records(lines, "identity")) == 2 + 3
     assert [l for l in lines if "error" in l] == [
-        {"error": "precision", "message": "residuals not below tol at 256 bits"}
+        {"error": "precision", "message": "residuals not below tol at 64 bits"}
     ]
     assert trailer(lines) == {"status": "precision_failure", "error_count": 1}
-    code, lines, _ = run(capsys, argv + ["--bits", "512"])
+    code, lines, _ = run(capsys, argv + ["--bits", "128"])
     assert code == 0
     assert trailer(lines) == {"status": "ok", "error_count": 0}
 
@@ -287,7 +291,7 @@ def test_iterate_golden_rows(capsys) -> None:
     assert rows[1]["exact_zero"]["2"] is True
 
 
-def test_global_options_are_tol_exact_limit_catalog() -> None:
+def test_global_options_are_exact_limit_catalog() -> None:
     parser = build_parser()
     options = {
         opt
@@ -295,7 +299,11 @@ def test_global_options_are_tol_exact_limit_catalog() -> None:
         for opt in action.option_strings
         if opt not in ("-h", "--help")
     }
-    assert options == {"--tol", "--exact-limit", "--catalog"}
+    assert options == {"--exact-limit", "--catalog"}
+    # the identity tolerance is the constant limits.DEFAULT_TOL, not an option
+    with pytest.raises(SystemExit) as exc:
+        main(["--tol", "1e-30", "limits", "identities"])
+    assert exc.value.code == 2
 
 
 def test_iterate_precision_cap_exhaustion(capsys, monkeypatch) -> None:
@@ -513,10 +521,8 @@ def test_limits_identities_ok_and_gate(capsys, monkeypatch) -> None:
     assert code == 0
     assert len(records(lines, "identity")) == 2 * 2 + 3
 
-    # nothing is certified above 1e-200 at 256 bits: the bits fell short
-    code, lines, _ = run(
-        capsys, ["--tol", "1e-200", "limits", "identities", "--n", "1:2"]
-    )
+    # nothing is certified above 1e-30 at 64 bits: the bits fell short
+    code, lines, _ = run(capsys, ["limits", "identities", "--n", "1:2", "--bits", "64"])
     assert code == 4
     assert trailer(lines)["status"] == "precision_failure"
 
@@ -560,6 +566,40 @@ def test_generate_count_limits_terms(capsys) -> None:
     assert code == 0
     assert header(lines)["inputs"]["count"] == 3
     assert records(lines, "sequence")[0]["terms"] == ["7", "49", "340"]
+
+
+def test_generate_precision_cap_exhaustion(capsys, monkeypatch) -> None:
+    # the cap fails every level-0 cell, so generate reports them as iterate
+    # and suite do: one rounding error per cell and exit 4, not a scan error
+    monkeypatch.setattr(pisotlab.field, "CAP_BITS", 32)
+    code, lines, _ = run(capsys, ["generate", "--target", "7", "--pmax", "31"])
+    assert code == 4
+    assert records(lines, "sequence")[0]["terms"] == []
+    assert not records(lines, "target_check")
+    errs = [l for l in lines if "error" in l]
+    assert [(e["error"], e["level"], e["n"]) for e in errs] == [
+        ("rounding", 0, n) for n in range(1, 61)
+    ]
+    assert errs[0]["message"].startswith("PrecisionExhausted: rounding undecided at 32 bits")
+    assert trailer(lines) == {"status": "rounding_failure", "error_count": 60}
+
+
+def test_suite_graded_below_the_expected_levels(capsys) -> None:
+    # plastic grades levels 0-2; a table cut at level 0 fails both others
+    code, lines, _ = run(capsys, ["suite", "--name", "plastic", "--kmax", "0"])
+    assert code == 5
+    assert [l["level"] for l in records(lines, "level")] == [0]
+    coverage = [
+        {k: o[k] for k in ("level", "passed", "expected", "observed")}
+        for o in records(lines, "expectation")
+        if o["aspect"] == "coverage"
+    ]
+    assert coverage == [
+        {"level": k, "passed": False, "expected": "level tabulated", "observed": "level missing"}
+        for k in (1, 2)
+    ]
+    assert all(o["passed"] for o in records(lines, "expectation") if o["level"] == 0)
+    assert trailer(lines) == {"status": "expectation_failure", "error_count": 0}
 
 
 def test_catalog_flag(capsys, tmp_path) -> None:

@@ -112,8 +112,6 @@ VALUES = {
     "small": (_ints(1, 12), []),
     "count": (_ints(1, 60), []),
     "bits": (_ints(60, 300), ["64", "1025", "4097", "100000"]),
-    "tol": (st.sampled_from(["1e-30", "1e-60", "1/3", "1"]),
-            ["0", "-1", "1/0", "1e-1000", "inf"]),
     "poly": (st.sampled_from(["-1,-1,1", "-1,-2,1", "-1,-1,0,1", "1,0,-2,-1,1", "-3,-1,1",
                               "1,-3,1", "-1,1,-1,0,1,-2,1", "-2,0,1", "-2,1", "1,1"]),
              ["0,1", "1", ",", "-1,,1", "-1.5,1", "x", "0x1,1", "1_0,1", "١,-3,1",
@@ -171,8 +169,7 @@ def _argvs(draw, catalog_dir):
     def given_(required):
         return draw(st.integers(0, 11)) < 11 if required else draw(st.booleans())
 
-    argv = [tok for flag, kind in (("--tol", "tol"), ("--exact-limit", "exact"),
-                                   ("--catalog", "catalog"))
+    argv = [tok for flag, kind in (("--exact-limit", "exact"), ("--catalog", "catalog"))
             if given_(False) for tok in (flag, value(kind))]
     if draw(st.integers(0, 19)) == 19:
         return argv + draw(st.sampled_from([[], ["bogus"], ["limits"], ["certify", "--bogus"]]))

@@ -6,9 +6,9 @@ import pytest
 
 import pisotlab.certify
 import pisotlab.limits
-from pisotlab.certify import Verdict, prove_pisot, sign_at
+from pisotlab.certify import Verdict, certify_pisot, prove_pisot, sign_at
 from pisotlab.conjectures import heart_expectations, run_suite
-from pisotlab.errors import InvalidParameters, NoRootInInterval, ResidualTooLarge
+from pisotlab.errors import InvalidParameters, NoRootInInterval, NotPisot, ResidualTooLarge
 from pisotlab.field import NumberField
 from pisotlab.limits import (
     IDENTITY_KINDS,
@@ -123,6 +123,18 @@ def test_wrong_polynomial_fails_the_identity(monkeypatch) -> None:
     monkeypatch.setattr(LogEquationSpec, "polynomial", lambda self: heart)
     with pytest.raises(ResidualTooLarge, match=r"^club\(m=3,n=2\): "):
         solve_log_equation(LogEquationSpec("club", 3, 2))
+
+
+def test_non_pisot_root_is_refused_by_the_field(monkeypatch) -> None:
+    # x^2 - 5 has its root sqrt(5) in club(3, 2)'s window ]2, 3[, and its
+    # conjugate -sqrt(5) outside the unit disk; NumberField refuses it
+    poly = IntPolynomial.from_coeffs([-5, 0, 1])
+    monkeypatch.setattr(LogEquationSpec, "polynomial", lambda self: poly)
+    with pytest.raises(NotPisot) as exc:
+        solve_log_equation(LogEquationSpec("club", 3, 2))
+    assert str(exc.value) == "x^2 - 5 failed certification: %s" % (
+        certify_pisot(poly, enclosures=False).failure_reason
+    )
 
 
 def test_root_at_the_window_end_is_proved() -> None:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pisotlab.catalog import load_catalog
 import pisotlab.field
 import pisotlab.transform
-from pisotlab.errors import InvalidParameters, PrecisionExhausted
+from pisotlab.errors import InvalidParameters, PisotLabError, PrecisionExhausted
 from pisotlab.field import CAP_BITS, START_BITS, NumberField
 from pisotlab.intervals import DyadicInterval, RatInterval
 from pisotlab.poly import IntPolynomial, alpha_poly
@@ -436,6 +436,17 @@ def test_frac_magnitudes_of_an_empty_level(monkeypatch) -> None:
             frac_magnitudes(table, k)
     with pytest.raises(InvalidParameters, match="^no cells available at level 2$"):
         frac_magnitudes(table, 2)
+
+
+def test_cell_of_a_failed_column_names_its_failure(monkeypatch) -> None:
+    monkeypatch.setattr(pisotlab.field, "CAP_BITS", 32)
+    table = build_table(GOLDEN, 1, 1, 5)
+    with pytest.raises(PisotLabError) as exc:
+        table.cell(0, 2)
+    assert type(exc.value) is PisotLabError
+    assert str(exc.value).startswith(
+        "cell (level 0, n 2) unavailable: PrecisionExhausted: rounding undecided at 32 bits"
+    )
 
 
 def test_failures_recorded_not_raised() -> None:
