@@ -72,63 +72,3 @@ from .recurrence import (
 from .transform import IterateCell, IterateTable, build_table, frac_magnitudes
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BranchVerdict",
-    "Catalog",
-    "CatalogEntry",
-    "CatalogError",
-    "CongruenceReport",
-    "ConstantVerdict",
-    "ConvergenceReport",
-    "ExpectationSet",
-    "IntPolynomial",
-    "InvalidParameters",
-    "IterateCell",
-    "IterateTable",
-    "LevelExpectation",
-    "LimitPointSolution",
-    "LogEquationSpec",
-    "NoRecurrenceFound",
-    "NoRootInInterval",
-    "NotPisot",
-    "NumberField",
-    "OrderingReport",
-    "PairRelation",
-    "PisotCertificate",
-    "PisotLabError",
-    "PrecisionExhausted",
-    "RatInterval",
-    "Recurrence",
-    "RecurrenceUnavailable",
-    "ResidualTooLarge",
-    "SuiteReport",
-    "SymmetryClass",
-    "Verdict",
-    "alpha_expectations",
-    "alpha_poly",
-    "beta_expectations",
-    "beta_poly",
-    "build_table",
-    "centered_residue",
-    "certify_pisot",
-    "characteristic_of",
-    "classify_pair",
-    "classify_symmetry",
-    "compare_recurrence",
-    "congruence_scan",
-    "constant_detect",
-    "convergence_check",
-    "detect_recurrence",
-    "frac_magnitudes",
-    "heart_expectations",
-    "load_catalog",
-    "modular_extend",
-    "ordering_check",
-    "predicted_recurrence",
-    "refine_root",
-    "run_suite",
-    "solve_log_equation",
-    "strip_unit_root",
-    "verify_identity",
-]

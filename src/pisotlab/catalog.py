@@ -18,8 +18,6 @@ from .conjectures import ExpectationSet, LevelExpectation
 from .errors import CatalogError, InvalidParameters
 from .poly import IntPolynomial, read_int
 
-__all__ = ["CatalogEntry", "Catalog", "load_catalog", "DEFAULT_NAMES"]
-
 SCHEMA_VERSION = 1
 
 DEFAULT_NAMES = (

@@ -46,28 +46,6 @@ from .transform import (
     iterate_column,
 )
 
-__all__ = [
-    "BranchVerdict",
-    "CongruenceReport",
-    "congruence_scan",
-    "check_scan_range",
-    "ConstantVerdict",
-    "constant_detect",
-    "MagnitudeViolation",
-    "ConvergenceReport",
-    "convergence_check",
-    "LevelExpectation",
-    "ExpectationSet",
-    "ExpectationOutcome",
-    "alpha_expectations",
-    "beta_expectations",
-    "heart_expectations",
-    "LevelReport",
-    "PairAudit",
-    "SuiteReport",
-    "run_suite",
-]
-
 EXACT_LIMIT_DEFAULT = 300
 # Largest p_hi a scan takes.  Time and memory grow linearly in p_hi (the
 # sieve alone takes p_hi + 1 bytes): ``suite --name golden --pmax 1000000``

@@ -148,10 +148,7 @@ def decimal_upper(q: Fraction, digits: int) -> str:
 
 def _decimal_from_scaled(n: int, digits: int) -> str:
     sign = "-" if n < 0 else ""
-    n = abs(n)
-    if digits == 0:
-        return sign + int_to_decimal(n)
-    whole, frac = divmod(n, 10**digits)
+    whole, frac = divmod(abs(n), 10**digits)
     return "%s%s.%s" % (sign, int_to_decimal(whole), int_to_decimal(frac).zfill(digits))
 
 

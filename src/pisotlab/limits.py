@@ -43,17 +43,6 @@ from .poly import (
     strip_unit_root,
 )
 
-__all__ = [
-    "LogEquationSpec",
-    "LimitPointSolution",
-    "solve_log_equation",
-    "verify_identity",
-    "IDENTITY_KINDS",
-    "ChainEntry",
-    "OrderingReport",
-    "ordering_check",
-]
-
 DEFAULT_TOL = Fraction(1, 10**30)
 DEFAULT_SOLVE_BITS = 192
 # Largest working precision a caller may ask for: ``limits ordering --count

@@ -19,15 +19,6 @@ from typing import IO
 from .intervals import RatInterval, decimal_lower, decimal_upper, int_to_decimal
 from .poly import IntPolynomial
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "enc_int",
-    "enc_fraction",
-    "enc_interval",
-    "enc_poly",
-    "ReportWriter",
-]
-
 SCHEMA_VERSION = 1
 DEFAULT_DIGITS = 36
 
@@ -43,12 +34,10 @@ def enc_fraction(q) -> str:
     return "%s/%s" % (int_to_decimal(q.numerator), int_to_decimal(q.denominator))
 
 
-def enc_interval(
-    iv: RatInterval, bits: int | None = None, digits: int = DEFAULT_DIGITS
-) -> dict:
+def enc_interval(iv: RatInterval, bits: int | None = None) -> dict:
     out = {
-        "lo": decimal_lower(iv.lo, digits),
-        "hi": decimal_upper(iv.hi, digits),
+        "lo": decimal_lower(iv.lo, DEFAULT_DIGITS),
+        "hi": decimal_upper(iv.hi, DEFAULT_DIGITS),
     }
     if bits is not None:
         out["bits"] = bits

@@ -19,10 +19,10 @@ from .intervals import DyadicInterval
 # reach before the pair is left undecided
 COMPARATOR_CAP_BITS = 1 << 16
 # Largest exponent evaluated exactly: ``--exact-limit 6000 suite --name
-# atypical --pmax 6000`` takes 65 s (2 vCPU, Python 3.11).
+# atypical --pmax 6000 --no-expect`` takes 20 s and 93 MB (2 vCPU, Python 3.11).
 EXPONENT_LIMIT = 6000
 # Largest table, (k_max + 1) * (n_hi - n_lo + 1) cells: ``iterate --name
-# atypical --n 1:6000`` fills 36,000 in 26 s and 122 MB (2 vCPU, Python 3.11).
+# atypical --n 1:6000`` fills 36,000 in 12 s and 107 MB (2 vCPU, Python 3.11).
 CELL_LIMIT = 36000
 
 
@@ -90,10 +90,12 @@ class IterateTable:
         try:
             return self._cells[(k, n)]
         except KeyError:
-            if (k, n) in self.failures:
-                raise PisotLabError(
-                    f"cell (level {k}, n {n}) unavailable: {self.failures[(k, n)]}"
-                ) from None
+            # a column that failed at level j has no cell at levels j..k_max
+            for (j, m), failure in self.failures.items():
+                if m == n and j <= k <= self.k_max:
+                    raise PisotLabError(
+                        f"cell (level {k}, n {n}) unavailable: {failure}"
+                    ) from None
             raise InvalidParameters(f"cell (level {k}, n {n}) outside the table")
 
     def u(self, k: int, n: int) -> int:

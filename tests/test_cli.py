@@ -584,6 +584,21 @@ def test_generate_precision_cap_exhaustion(capsys, monkeypatch) -> None:
     assert trailer(lines) == {"status": "rounding_failure", "error_count": 60}
 
 
+def test_generate_scan_error_without_a_recurrence(capsys) -> None:
+    # heart(100, 2, 1)'s level-0 row at n <= 60 shows no recurrence, so the
+    # primes past the exact range cannot be scanned and level 0 has no report
+    code, lines, _ = run(capsys, ["--exact-limit", "60", "generate", "--target", "100"])
+    assert code == 5
+    assert [l.get("record") for l in lines[1:-1]] == ["sequence", None]
+    assert len(records(lines, "sequence")[0]["terms"]) == 12
+    assert lines[-2] == {
+        "error": "scan",
+        "message": "RecurrenceUnavailable: primes beyond exact_limit=60 need a "
+        "verified recurrence for level 0",
+    }
+    assert trailer(lines) == {"status": "error", "error_count": 1}
+
+
 def test_suite_graded_below_the_expected_levels(capsys) -> None:
     # plastic grades levels 0-2; a table cut at level 0 fails both others
     code, lines, _ = run(capsys, ["suite", "--name", "plastic", "--kmax", "0"])

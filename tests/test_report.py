@@ -60,13 +60,17 @@ def test_values_within_the_digit_cap_print_as_str() -> None:
 
 def test_enc_interval_outward() -> None:
     iv = RatInterval(Fraction(1, 3), Fraction(2, 3))
-    d = enc_interval(iv, bits=64, digits=6)
+    d = enc_interval(iv, bits=64)
     assert d["bits"] == 64
     assert Fraction(d["lo"]) <= Fraction(1, 3)
     assert Fraction(d["hi"]) >= Fraction(2, 3)
+    # every record prints 36 fractional digits, rounded outward
+    assert d["lo"] == "0." + "3" * 36
+    assert d["hi"] == "0." + "6" * 35 + "7"
     # exact decimal endpoints are reproduced without slack
-    point = enc_interval(RatInterval(Fraction(1, 4), Fraction(1, 4)), digits=6)
+    point = enc_interval(RatInterval(Fraction(1, 4), Fraction(1, 4)))
     assert Fraction(point["lo"]) == Fraction(point["hi"]) == Fraction(1, 4)
+    assert point["lo"] == point["hi"] == "0.25" + "0" * 34
     assert "bits" not in point
 
 

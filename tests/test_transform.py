@@ -449,6 +449,22 @@ def test_cell_of_a_failed_column_names_its_failure(monkeypatch) -> None:
     )
 
 
+def test_cell_above_a_failed_level_names_the_same_failure(monkeypatch) -> None:
+    # column 2 fails at level 0, so level 1 has no cell there either; past
+    # k_max the cell is outside the table
+    monkeypatch.setattr(pisotlab.field, "CAP_BITS", 32)
+    table = build_table(GOLDEN, 1, 1, 5)
+    assert table.failures.keys() == {(0, n) for n in range(1, 6)}
+    with pytest.raises(PisotLabError) as base:
+        table.cell(0, 2)
+    with pytest.raises(PisotLabError) as above:
+        table.cell(1, 2)
+    assert type(above.value) is PisotLabError
+    assert str(above.value) == str(base.value).replace("(level 0,", "(level 1,", 1)
+    with pytest.raises(InvalidParameters, match=r"cell \(level 2, n 2\) outside the table"):
+        table.cell(2, 2)
+
+
 def test_failures_recorded_not_raised() -> None:
     # the degree-1 field on x - 2, where every iterate is rational: each is an
     # integer (integer coordinates), so level 1 is exactly zero and no cell
