@@ -338,23 +338,24 @@ def _has_unit_circle_root(p: IntPolynomial) -> bool:
     if g_sym.degree() < 1:
         return False
     g = IntPolynomial.from_coeffs([int(c) for c in reversed(g_sym.all_coeffs())])
+    # g(+-1) != 0 gives G(+-2) != 0, so the closed count is the open one
+    return int(_sympy_poly(_trace_polynomial(g)).count_roots(-2, 2)) > 0
+
+
+def _trace_polynomial(g: IntPolynomial) -> IntPolynomial:
+    """The integer G with g(z) = z^k G(z + 1/z), for a palindrome g of degree 2k."""
     k2 = g.degree
     if k2 % 2 != 0 or any(g.coeff(i) != g.coeff(k2 - i) for i in range(k2 + 1)):
         # inversion-closure should make g palindromic once p(+-1) != 0
         raise PrecisionExhausted("unexpected non-palindromic circle factor")
     k = k2 // 2
-    # T_i(y) represents z^i + z^-i:  T_0 = 2, T_1 = y, T_i = y T_{i-1} - T_{i-2}
-    t_prev = IntPolynomial.from_coeffs([2])
-    t_cur = IntPolynomial.from_coeffs([0, 1])
-    big_g = IntPolynomial.from_coeffs([g.coeff(k)])
-    for i in range(1, k + 1):
-        big_g = big_g + g.coeff(k + i) * t_cur
-        if i < k:
-            t_prev, t_cur = t_cur, (
-                IntPolynomial.from_coeffs([0, 1]) * t_cur - t_prev
-            )
-    # g(+-1) != 0 gives G(+-2) != 0, so the closed count is the open one
-    return int(_sympy_poly(big_g).count_roots(-2, 2)) > 0
+    # g(z)/z^k = c_0 + sum c_i (z^i + z^-i), c_i = g_{k+i}; from the top down,
+    # y^i = sum_j C(i, (i-j)/2) (z^j + z^-j) over j = i, i-2, ... (j = 0 once)
+    c = [g.coeff(k + i) for i in range(k + 1)]
+    for i in range(k, 1, -1):
+        for j in range(i - 2, -1, -2):
+            c[j] -= c[i] * math.comb(i, (i - j) // 2)
+    return IntPolynomial(tuple(c))
 
 
 def _irreducibility_witness(p: IntPolynomial) -> int | None:

@@ -482,13 +482,11 @@ def cmd_limits(args, out) -> int:
 
 def cmd_generate(args, out) -> int:
     m = args.target
-    if m < 2:
-        raise InvalidParameters("--target must be >= 2")
+    spec = LogEquationSpec("heart", m, 2, 1)
     if args.count < 1:
         raise InvalidParameters("--count must be >= 1")
     p_hi = args.pmax if args.pmax is not None else max(97, 4 * m)
     check_scan_range(2, p_hi, args.exact_limit)  # before the solve
-    spec = LogEquationSpec("heart", m, 2, 1)
     writer = ReportWriter(
         out, "generate", {"target": m, "pmax": p_hi, "count": args.count}
     )

@@ -522,13 +522,10 @@ def run_suite(
         _, seq = table.u_sequence(k)
         rep = LevelReport(k, tuple(seq[:12]))
 
-        if len(seq) >= 8:
-            try:
-                rep.recurrence = detect_recurrence(seq)
-            except NoRecurrenceFound as exc:
-                rep.recurrence_error = str(exc)
-        else:
-            rep.recurrence_error = "row too short for detection"
+        try:
+            rep.recurrence = detect_recurrence(seq)
+        except NoRecurrenceFound as exc:
+            rep.recurrence_error = str(exc)
         integral = rep.recurrence if rep.recurrence and rep.recurrence.is_integral else None
         if integral is not None:
             rep.characteristic = characteristic_of(integral)

@@ -108,26 +108,7 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(_strip(out))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            if other == 0:
-                return IntPolynomial(())
-            return IntPolynomial(tuple(other * c for c in self.coeffs))
+    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         if self.is_zero or other.is_zero:
@@ -139,8 +120,6 @@ class IntPolynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return IntPolynomial(_strip(out))
-
-    __rmul__ = __mul__
 
     def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
         """Exact polynomial quotient; raises NonExactDivision if the division

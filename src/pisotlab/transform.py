@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import InvalidParameters, PisotLabError, PrecisionExhausted
+from .errors import InvalidParameters, PrecisionExhausted
 from .field import NumberField
 from .intervals import DyadicInterval
 
@@ -93,7 +93,7 @@ class IterateTable:
             # a column that failed at level j has no cell at levels j..k_max
             for (j, m), failure in self.failures.items():
                 if m == n and j <= k <= self.k_max:
-                    raise PisotLabError(
+                    raise PrecisionExhausted(
                         f"cell (level {k}, n {n}) unavailable: {failure}"
                     ) from None
             raise InvalidParameters(f"cell (level {k}, n {n}) outside the table")

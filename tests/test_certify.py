@@ -16,12 +16,13 @@ from pisotlab.certify import (
     PisotCertificate,
     Verdict,
     _disk_count,
+    _trace_polynomial,
     certify_pisot,
     prove_pisot,
     refine_root,
     sign_at,
 )
-from pisotlab.errors import InvalidParameters, NotPisot
+from pisotlab.errors import InvalidParameters, NotPisot, PrecisionExhausted
 from pisotlab.field import NumberField
 from pisotlab.intervals import RatInterval
 from pisotlab.poly import (
@@ -188,6 +189,63 @@ def test_certify_rejects_unit_circle_conjugate(poly) -> None:
     cert = certify_pisot(poly)
     assert cert.verdict is Verdict.NOT_PISOT
     assert cert.failure_reason == "a conjugate lies exactly on the unit circle"
+
+
+def _chebyshev_trace_polynomial(g: IntPolynomial) -> IntPolynomial:
+    # the reference: G = g_k + sum g_{k+i} T_i(y), where T_i(y) represents
+    # z^i + z^-i: T_0 = 2, T_1 = y, T_i = y T_{i-1} - T_{i-2}
+    k = g.degree // 2
+    big_g = [g.coeff(k)] + [0] * k
+    t_prev, t_cur = [2], [0, 1]
+    for i in range(1, k + 1):
+        for j, t in enumerate(t_cur):
+            big_g[j] += g.coeff(k + i) * t
+        y_t = [0] + t_cur
+        for j, t in enumerate(t_prev):
+            y_t[j] -= t
+        t_prev, t_cur = t_cur, y_t
+    return IntPolynomial.from_coeffs(big_g)
+
+
+def _check_trace_polynomial(g: IntPolynomial) -> IntPolynomial:
+    big_g = _trace_polynomial(g)
+    assert big_g == _chebyshev_trace_polynomial(g)
+    k = g.degree // 2
+    for z in (Fraction(2), Fraction(-1, 3)):
+        assert g(z) == z**k * big_g(z + 1 / z)
+    return big_g
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        # Lehmer's polynomial is its own circle factor (k = 5)
+        ([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1], [3, 4, -5, -5, 1, 1]),
+        # the circle factor x^2 + x + 1 of (x^3 - x - 1)(x^2 + x + 1)
+        ([1, 1, 1], [1, 1]),
+    ],
+    ids=["lehmer", "plastic_times_cyclotomic"],
+)
+def test_trace_polynomial_of_a_circle_factor(g, expected) -> None:
+    big_g = _check_trace_polynomial(IntPolynomial.from_coeffs(g))
+    assert big_g == IntPolynomial.from_coeffs(expected)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 14)
+    .flatmap(lambda k: st.lists(st.integers(-1000, 1000), min_size=k + 1, max_size=k + 1))
+    .filter(lambda top: top[-1] != 0)
+)
+def test_trace_polynomial_matches_the_chebyshev_recursion(top) -> None:
+    # top = [g_k, ..., g_2k] of a palindrome g of degree 2k <= 28
+    _check_trace_polynomial(IntPolynomial.from_coeffs(top[:0:-1] + top))
+
+
+def test_trace_polynomial_refuses_a_non_palindrome() -> None:
+    for coeffs in ([1, 2, 1, 1], [1, 2, 3]):
+        with pytest.raises(PrecisionExhausted, match="non-palindromic circle factor"):
+            _trace_polynomial(IntPolynomial.from_coeffs(coeffs))
 
 
 def test_certify_x2_minus_3x_plus_1_is_pisot() -> None:

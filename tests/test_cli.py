@@ -109,6 +109,8 @@ PARSE_ERROR_TEXT = {
     ("suite", "--alpha", "0"): "error: --alpha needs N >= 1",
     ("suite", "--beta", "0"): "error: --beta needs N >= 1",
     ("iterate", "--name", "golden", "--n", "1:x"): "error: bad exponent range '1:x'",
+    # the log-equation spec states the target's bound
+    ("generate", "--target", "1"): "error: m must be >= 2 (integer limit points are excluded)",
 }
 
 

@@ -316,6 +316,23 @@ def test_run_suite_golden_levels_and_recurrences() -> None:
     assert lvl1.constant is not None and lvl1.constant.kind == "alt_odd_plus"
 
 
+def test_run_suite_records_detection_errors_on_short_rows() -> None:
+    # run_suite has no length gate of its own: a short row records what
+    # detect_recurrence says about it
+    five = run_suite(GOLDEN, p_hi=5, n_hi=5)
+    assert [rep.recurrence_error for rep in five.levels] == [
+        "sequence of length 5 is too short"
+    ] * 2
+    assert all(rep.recurrence is None for rep in five.levels)
+    seven = run_suite(GOLDEN, p_hi=7, n_hi=7)
+    assert seven.level_report(0).recurrence_error == (
+        "no linear recurrence of order <= 1 fits the sequence tail"
+    )
+    # level 1 is -1, -1, 1, -1, ...: its last five terms fit order 1
+    lvl1 = seven.level_report(1)
+    assert lvl1.recurrence_error is None and lvl1.recurrence.coeffs == (-1,)
+
+
 def test_run_suite_grading_pass_and_fail() -> None:
     from pisotlab.conjectures import ExpectationSet, LevelExpectation
 

@@ -70,11 +70,9 @@ def test_arithmetic_ring_axioms_spot_check() -> None:
     for _ in range(30):
         a = IntPolynomial.from_coeffs([rng.randint(-5, 5) for _ in range(4)])
         b = IntPolynomial.from_coeffs([rng.randint(-5, 5) for _ in range(4)])
-        c = IntPolynomial.from_coeffs([rng.randint(-5, 5) for _ in range(3)])
-        assert a + b == b + a
         assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
-        assert (a - a).is_zero
+        for x in (-2, 3):
+            assert (a * b)(x) == a(x) * b(x)
 
 
 def test_exact_division_roundtrip() -> None:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pisotlab.catalog import load_catalog
 import pisotlab.field
 import pisotlab.transform
-from pisotlab.errors import InvalidParameters, PisotLabError, PrecisionExhausted
+from pisotlab.errors import InvalidParameters, PrecisionExhausted
 from pisotlab.field import CAP_BITS, START_BITS, NumberField
 from pisotlab.intervals import DyadicInterval, RatInterval
 from pisotlab.poly import IntPolynomial, alpha_poly
@@ -441,9 +441,9 @@ def test_frac_magnitudes_of_an_empty_level(monkeypatch) -> None:
 def test_cell_of_a_failed_column_names_its_failure(monkeypatch) -> None:
     monkeypatch.setattr(pisotlab.field, "CAP_BITS", 32)
     table = build_table(GOLDEN, 1, 1, 5)
-    with pytest.raises(PisotLabError) as exc:
+    with pytest.raises(PrecisionExhausted) as exc:
         table.cell(0, 2)
-    assert type(exc.value) is PisotLabError
+    assert type(exc.value) is PrecisionExhausted
     assert str(exc.value).startswith(
         "cell (level 0, n 2) unavailable: PrecisionExhausted: rounding undecided at 32 bits"
     )
@@ -455,11 +455,11 @@ def test_cell_above_a_failed_level_names_the_same_failure(monkeypatch) -> None:
     monkeypatch.setattr(pisotlab.field, "CAP_BITS", 32)
     table = build_table(GOLDEN, 1, 1, 5)
     assert table.failures.keys() == {(0, n) for n in range(1, 6)}
-    with pytest.raises(PisotLabError) as base:
+    with pytest.raises(PrecisionExhausted) as base:
         table.cell(0, 2)
-    with pytest.raises(PisotLabError) as above:
+    with pytest.raises(PrecisionExhausted) as above:
         table.cell(1, 2)
-    assert type(above.value) is PisotLabError
+    assert type(above.value) is PrecisionExhausted
     assert str(above.value) == str(base.value).replace("(level 0,", "(level 1,", 1)
     with pytest.raises(InvalidParameters, match=r"cell \(level 2, n 2\) outside the table"):
         table.cell(2, 2)
