@@ -123,6 +123,57 @@ def refine_root(p: IntPolynomial, iv: RatInterval, bits: int) -> RatInterval:
             hn, hd = m, 1 << e
 
 
+# Newton's start: iv is bisected to this width first, when it is wider
+NEWTON_START_BITS = 56
+
+
+def newton_root(p: IntPolynomial, iv: RatInterval, bits: int) -> RatInterval | None:
+    """Enclosure of width 2**-bits of the simple real root that ``iv``
+    isolates, by integer Newton steps, or None when it cannot be certified.
+
+    ``iv`` is bisected by `refine_root` to 2**-56 first, when it is wider.
+    From its midpoint, Newton steps X <- X - round(P/Q) run at scales 2**B
+    that about double up to the final B = bits + 1 + g, on
+    P = p(X/2**B) * 2**(B*d) and Q = p'(X/2**B) * 2**(B*(d-1)), both by
+    Horner's rule on integers.  The answer [(X - 2**g)/2**B, (X + 2**g)/2**B]
+    is returned only when it lies inside ``iv`` and p has strict, opposite
+    signs at its ends, so it is certified whatever the steps did.  g = 7
+    puts its ends on the grid 2**-(bits + 8) that `eval_interval` reads
+    exactly.
+    """
+    start = iv
+    if iv.width > Fraction(1, 1 << NEWTON_START_BITS):
+        start = refine_root(p, iv, NEWTON_START_BITS)
+    if start.is_point:
+        return start
+    g = 7
+    scales = [bits + 1 + g]
+    while scales[-1] > 64:
+        # each step about doubles the correct bits; 8 spare bits absorb the
+        # rounding and the size of p'' / p'
+        scales.append(scales[-1] // 2 + 8)
+    coeffs, d = p.coeffs, p.degree
+    mid = (start.lo + start.hi) / 2
+    b = scales[-1]
+    x = (mid.numerator << b) // mid.denominator
+    for s in reversed(scales):
+        x <<= s - b
+        b = s
+        pv = qv = 0
+        for i in range(d, -1, -1):
+            pv = pv * x + (coeffs[i] << (b * (d - i)))
+            if i:
+                qv = qv * x + (i * coeffs[i] << (b * (d - i)))
+        if qv == 0:
+            return None
+        # x - round(pv / qv), halves rounded up
+        x -= (2 * pv + qv) // (2 * qv)
+    got = RatInterval(Fraction(x - (1 << g), 1 << b), Fraction(x + (1 << g), 1 << b))
+    if iv.lo <= got.lo and got.hi <= iv.hi and sign_at(p, got.lo) * sign_at(p, got.hi) < 0:
+        return got
+    return None
+
+
 def _check_input(p: IntPolynomial) -> None:
     if p.degree < 1:
         raise InvalidParameters("certification needs degree >= 1")
@@ -174,7 +225,9 @@ def prove_pisot(p: IntPolynomial) -> PisotCertificate | None:
     q(z) = b**n p(a z / b), whose zeros in the unit disk are those of p in
     |z| < r.  Every delta a_0^2 - a_n^2 is odd there: q has only its top
     coefficient odd, every later f only its constant term, so every count
-    makes a claim.
+    makes a claim.  A count at r = 1 runs first: a radius that proves the
+    geometry leaves n - 1 zeros in the unit disk, so a claim of any other
+    number declines before the ladder's wider integers are built.
 
     None means no radius proved the geometry; `certify_pisot` decides those
     (a conjugate may lie above 1 - 2**-64).  Input errors are those of
@@ -190,6 +243,9 @@ def prove_pisot(p: IntPolynomial) -> PisotCertificate | None:
     if p(1) >= 0:
         return None
     n = p.degree
+    inside = _disk_count(p.coeffs)
+    if inside is not None and inside != n - 1:
+        return None
     for a, b in _RADII:
         q = [c * a**i * b ** (n - i) for i, c in enumerate(p.coeffs)]
         if _disk_count(q) == n - 1:

@@ -9,11 +9,11 @@ term), coordinates are unique and an element is rational exactly when its
 higher coordinates vanish.
 
 The only approximate step anywhere is `eval_interval`, which returns a
-dyadic enclosure (integer mantissas at scale 2**-s) computed from a
-bisection-refined enclosure of theta by Horner's rule on those mantissas,
-every product rounded outward; `round_with_enclosure` wraps it in an
-adaptive precision loop whose answer is certified, never guessed, and
-decided on the mantissas by shifts.
+dyadic enclosure (integer mantissas at scale 2**-s) computed from an
+enclosure of theta, refined by certified Newton steps (by bisection where
+those fail), by Horner's rule on those mantissas, every product rounded
+outward; `round_with_enclosure` wraps it in an adaptive precision loop whose
+answer is certified, never guessed, and decided on the mantissas by shifts.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .certify import PisotCertificate, certify_pisot, refine_root
+from .certify import PisotCertificate, certify_pisot, newton_root, refine_root
 from .errors import InvalidParameters, NotPisot, PrecisionExhausted
 from .intervals import DyadicInterval, RatInterval
 from .poly import IntPolynomial
@@ -32,6 +32,8 @@ from .poly import IntPolynomial
 # is refused.
 START_BITS = 64
 CAP_BITS = 1 << 20
+# theta is refined this far past the precision it has, once it has too little
+THETA_MARGIN_BITS = 128
 
 
 class NumberField:
@@ -139,9 +141,17 @@ class NumberField:
     def theta_enclosure(self, bits: int) -> RatInterval:
         """Enclosure of theta with width at most 2**-bits (monotone: repeated
         calls only ever shrink the cached interval).  Deciding whether the
-        cached one is tight enough is one integer comparison."""
+        cached one is tight enough is one integer comparison.
+
+        A refinement goes THETA_MARGIN_BITS past the cached precision, or to
+        ``bits`` if that is further, by certified Newton steps, so the next
+        columns, which ask for a few more bits each, find theta ready;
+        bisection to ``bits`` runs only when Newton's sign check fails."""
         if bits > self._theta_bits:
-            self._set_theta(refine_root(self.min_poly, self._theta_iv, bits))
+            p, iv = self.min_poly, self._theta_iv
+            target = max(bits, self._theta_bits + THETA_MARGIN_BITS)
+            tight = newton_root(p, iv, target)
+            self._set_theta(refine_root(p, iv, bits) if tight is None else tight)
         return self._theta_iv
 
     def eval_interval(self, a: tuple[int, ...], precision_bits: int) -> DyadicInterval:

@@ -19,10 +19,10 @@ from .intervals import DyadicInterval
 # reach before the pair is left undecided
 COMPARATOR_CAP_BITS = 1 << 16
 # Largest exponent evaluated exactly: ``--exact-limit 6000 suite --name
-# atypical --pmax 6000 --no-expect`` takes 20 s and 93 MB (2 vCPU, Python 3.11).
+# atypical --pmax 6000 --no-expect`` takes 17 s and 94 MB (2 vCPU, Python 3.11).
 EXPONENT_LIMIT = 6000
 # Largest table, (k_max + 1) * (n_hi - n_lo + 1) cells: ``iterate --name
-# atypical --n 1:6000`` fills 36,000 in 12 s and 107 MB (2 vCPU, Python 3.11).
+# atypical --n 1:6000`` fills 36,000 in 9 s and 108 MB (2 vCPU, Python 3.11).
 CELL_LIMIT = 36000
 
 

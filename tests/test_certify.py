@@ -18,6 +18,7 @@ from pisotlab.certify import (
     _disk_count,
     _trace_polynomial,
     certify_pisot,
+    newton_root,
     prove_pisot,
     refine_root,
     sign_at,
@@ -121,6 +122,17 @@ def test_refine_root_matches_fraction_bisection_on_random_pisot(p, bits, more) -
 def test_refine_root_requires_sign_change() -> None:
     with pytest.raises(InvalidParameters):
         refine_root(GOLDEN, RatInterval(Fraction(3), Fraction(4)), 30)
+
+
+def test_newton_root_declines_without_a_certified_answer() -> None:
+    # a double root at 2: Newton converges only linearly, and p changes no sign
+    double = IntPolynomial.from_coeffs([4, -4, 1])
+    iv = RatInterval(2 - Fraction(1, 1 << 60), 2 + Fraction(1, 1 << 59))
+    assert newton_root(double, iv, 200) is None
+    # an answer 2**-30 wide cannot lie inside an interval 2**-60 wide
+    iv = refine_root(GOLDEN, RatInterval(Fraction(1), Fraction(2)), 60)
+    assert newton_root(GOLDEN, iv, 30) is None
+    assert iv.lo < newton_root(GOLDEN, iv, 200).lo
 
 
 @pytest.mark.parametrize(
@@ -501,7 +513,7 @@ def test_ladder_moves_on_to_the_next_radius() -> None:
     assert prove_pisot(IntPolynomial.from_coeffs([-1, -2, 1])).conjugate_bound == Fraction(1, 2)
 
 
-def test_ladder_is_bounded(monkeypatch) -> None:
+def _count_disk_counts(monkeypatch) -> list:
     calls = []
 
     def counting(coeffs):
@@ -509,8 +521,67 @@ def test_ladder_is_bounded(monkeypatch) -> None:
         return _disk_count(coeffs)
 
     monkeypatch.setattr(pisotlab.certify, "_disk_count", counting)
-    assert prove_pisot(IntPolynomial.from_coeffs([-6, 1, -1, 1])) is None
-    assert len(calls) == len(_RADII) == 7
+    return calls
+
+
+def test_ladder_is_bounded(monkeypatch) -> None:
+    calls = _count_disk_counts(monkeypatch)
+    # (x^3 - x - 1)(x^2 + x + 1): the r = 1 count meets a zero delta and
+    # makes no claim, and no radius below 1 holds the circle pair
+    p = IntPolynomial.from_coeffs([-1, -2, -2, 0, 1, 1])
+    assert prove_pisot(p) is None
+    assert calls[0] == p.coeffs and _disk_count(p.coeffs) is None
+    assert len(calls) == 1 + len(_RADII) == 8
+
+
+def test_r1_count_declines_before_the_ladder(monkeypatch) -> None:
+    calls = _count_disk_counts(monkeypatch)
+    # x^27 - 2x^26 + 3x - 3: p(1) = -1, but 4 zeros lie in the unit disk,
+    # not 26; the ladder at 1 - 2**-32 and 1 - 2**-64 took over a second
+    p = IntPolynomial.from_coeffs([-3, 3] + [0] * 24 + [-2, 1])
+    assert p(1) < 0
+    assert prove_pisot(p) is None
+    assert calls == [p.coeffs]
+    assert _disk_count(p.coeffs) == 4
+
+
+def _ladder_reference(p: IntPolynomial) -> PisotCertificate | None:
+    """prove_pisot as it read before the r = 1 count: the radius ladder alone."""
+    if p(1) >= 0:
+        return None
+    n = p.degree
+    for a, b in _RADII:
+        if _disk_count([c * a**i * b ** (n - i) for i, c in enumerate(p.coeffs)]) == n - 1:
+            break
+    else:
+        return None
+    if n == 1:
+        dominant = RatInterval.point(-p.coeff(0))
+    else:
+        dominant = RatInterval(Fraction(1), Fraction(1 + max(map(abs, p.coeffs[:-1]))))
+    return PisotCertificate(
+        verdict=Verdict.PISOT, dominant_root=dominant, conjugate_bound=Fraction(a, b)
+    )
+
+
+@st.composite
+def ladder_polys(draw) -> IntPolynomial:
+    """Monic, degree <= 10, p(0) != 0, a sub-leading coefficient drawn to
+    make p(1) < 0 likely; some carry a unit-circle factor, on which the
+    r = 1 count makes no claim."""
+    d = draw(st.integers(1, 8))
+    lower = draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d))
+    lower[-1] = draw(st.integers(-8, 3))
+    lower[0] = lower[0] or -1
+    p = IntPolynomial.from_coeffs(lower + [1])
+    factor = draw(st.sampled_from([None] * 4 + [(1, 0, 1), (1, 1, 1), (1, -1, 1)]))
+    return p if factor is None else p * IntPolynomial.from_coeffs(factor)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ladder_polys())
+def test_r1_count_keeps_every_ladder_verdict(p) -> None:
+    assert prove_pisot(p) == _ladder_reference(p)
 
 
 def test_prove_pisot_degree_one() -> None:

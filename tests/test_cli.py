@@ -711,12 +711,12 @@ def _overlapping_chain(monkeypatch):
 
 
 def _no_comparator_refinement(monkeypatch):
-    # silver's first level-0 enclosures overlap from n = 50 on
+    # silver's first level-0 enclosures overlap from n = 101 on
     monkeypatch.setattr(pisotlab.transform, "COMPARATOR_CAP_BITS", 64)
 
 
-def _silver_level0_to_53():
-    return build_table(NumberField.from_poly([-1, -2, 1]), 0, 1, 53)
+def _silver_level0_to_104():
+    return build_table(NumberField.from_poly([-1, -2, 1]), 0, 1, 104)
 
 
 # the sites that raised NotMonic, ZeroConstantTerm, DegreeMismatch,
@@ -754,10 +754,10 @@ def _silver_level0_to_53():
             ["limits", "ordering", "--count", "2"], 4, id="incomparable_adjacent",
         ),
         pytest.param(
-            _no_comparator_refinement, lambda: convergence_check(_silver_level0_to_53(), 0),
+            _no_comparator_refinement, lambda: convergence_check(_silver_level0_to_104(), 0),
             errors.PrecisionExhausted,
-            "magnitude pairs [(50, 51), (51, 52), (52, 53)] undecided at 64 bits",
-            ["suite", "--name", "silver", "--no-expect", "--kmax", "0", "--nmax", "53",
+            "magnitude pairs [(101, 102), (102, 103), (103, 104)] undecided at 64 bits",
+            ["suite", "--name", "silver", "--no-expect", "--kmax", "0", "--nmax", "104",
              "--convergence"],
             0, id="incomparable_magnitudes",
         ),

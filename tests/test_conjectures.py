@@ -210,11 +210,11 @@ def test_convergence_error_quotes_the_cap_frac_magnitudes_used(monkeypatch) -> N
     # changes both the comparisons and the message
     assert not hasattr(pisotlab.conjectures, "COMPARATOR_CAP_BITS")
     monkeypatch.setattr(pisotlab.transform, "COMPARATOR_CAP_BITS", 64)
-    table = build_table(NumberField.from_poly([-1, -2, 1]), 0, 1, 53)
+    table = build_table(NumberField.from_poly([-1, -2, 1]), 0, 1, 104)
     with pytest.raises(PrecisionExhausted) as info:
         convergence_check(table, 0)
     assert str(info.value) == (
-        "magnitude pairs [(50, 51), (51, 52), (52, 53)] undecided at 64 bits"
+        "magnitude pairs [(101, 102), (102, 103), (103, 104)] undecided at 64 bits"
     )
 
 

@@ -228,9 +228,10 @@ def test_a_point_theta_is_never_refined(monkeypatch) -> None:
     # a degree-1 certificate encloses its integer theta by a point, which is
     # as tight as any precision asks
     def refine(*args):
-        raise AssertionError("refine_root called on a point")
+        raise AssertionError("theta refined on a point")
 
     monkeypatch.setattr(pisotlab.field, "refine_root", refine)
+    monkeypatch.setattr(pisotlab.field, "newton_root", refine)
     field = NumberField.from_poly([-2, 1])
     assert field.theta_enclosure(1 << 20) == RatInterval.point(Fraction(2))
 

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pisotlab.catalog import load_catalog
+import pisotlab.certify
 import pisotlab.field
 import pisotlab.transform
+from pisotlab.certify import NEWTON_START_BITS, newton_root, refine_root, sign_at
 from pisotlab.errors import InvalidParameters, PrecisionExhausted
-from pisotlab.field import CAP_BITS, START_BITS, NumberField
+from pisotlab.field import CAP_BITS, START_BITS, THETA_MARGIN_BITS, NumberField
 from pisotlab.intervals import DyadicInterval, RatInterval
 from pisotlab.poly import IntPolynomial, alpha_poly
 from pisotlab.transform import (
@@ -349,7 +351,7 @@ def test_dyadic_path_matches_the_fraction_path_on_the_catalog(monkeypatch) -> No
     evals = sum(
         _assert_same_as_the_fraction_path(monkeypatch, e.poly, 400) for e in load_catalog()
     )
-    assert evals == 11334
+    assert evals == 10311
 
 
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
@@ -381,42 +383,43 @@ def test_frac_magnitudes_refines_only_the_looser_entry(monkeypatch) -> None:
         seen = _count_evals(monkeypatch, table.field)
         rule(table, 0)
         counts.append(len(seen))
-    assert counts == [354, 706]
+    assert counts == [309, 614]
     assert counts[0] <= 0.6 * counts[1]
 
 
 def test_frac_magnitudes_never_refines_an_exact_zero(monkeypatch) -> None:
-    # golden's level 0 at n = 200 lies within 2**-138 of its integer, so its
-    # first enclosure, good to about 2**-64, does not exclude the zero next
-    # to it; only that entry refines, and the pair is decided
+    # golden's level 0 at n = 199 lies within 2**-138 of its integer, so its
+    # first enclosure, good to about 2**-64 (theta is refined for n = 200
+    # only after it), does not exclude the zero next to it; only that entry
+    # refines, and the pair is decided
     field = NumberField.from_poly([-1, -1, 1])
     table = build_table(field, 0, 199, 200)
-    table._store(IterateCell(level=0, n=199, element=field.one(), integer_part=1,
+    table._store(IterateCell(level=0, n=200, element=field.one(), integer_part=1,
                              magnitude=DyadicInterval(0, 0, 0), bits=0,
                              exact_zero=True))
-    live = table.cell(0, 200)
+    live = table.cell(0, 199)
     assert _rat(live.magnitude).lo == 0
     seen = _count_evals(monkeypatch, field)
     row = frac_magnitudes(table, 0)
-    assert row.pair_order == ("lt",)
+    assert row.pair_order == ("gt",)
     assert seen and set(seen) == {(live.element[0] - live.integer_part,) + live.element[1:]}
-    assert row.entries[0].bits == 8
+    assert row.entries[1].bits == 8
 
 
 def test_undecided_only_once_both_entries_reach_the_cap(monkeypatch) -> None:
-    # at cap 160, silver's level-0 pair (75, 76) starts at 158 and 160 bits:
-    # the refine-both rule gives up at once, this rule first takes n = 75
-    # to 316 bits
-    monkeypatch.setattr(pisotlab.transform, "COMPARATOR_CAP_BITS", 160)
-    table = build_table(NumberField.from_poly([-1, -2, 1]), 0, 1, 80)
-    assert (table.cell(0, 75).bits, table.cell(0, 76).bits) == (158, 160)
+    # at cap 193, silver's level-0 pair (101, 102) starts at 191 and 193
+    # bits: the refine-both rule gives up at once, this rule first takes
+    # n = 101 to 382 bits
+    monkeypatch.setattr(pisotlab.transform, "COMPARATOR_CAP_BITS", 193)
+    table = build_table(NumberField.from_poly([-1, -2, 1]), 0, 1, 106)
+    assert (table.cell(0, 101).bits, table.cell(0, 102).bits) == (191, 193)
     row = frac_magnitudes(table, 0)
     stuck = row.incomparable_pairs()
-    assert stuck[0] == (75, 76)
+    assert stuck[0] == (101, 102)
     by_n = {e.n: e for e in row.entries}
     for pair in stuck:
-        assert all(by_n[n].bits >= 160 for n in pair), pair
-    assert by_n[75].bits == 316
+        assert all(by_n[n].bits >= 193 for n in pair), pair
+    assert by_n[101].bits == 382
 
 
 def test_frac_magnitudes_exact_zero_ties() -> None:
@@ -475,3 +478,132 @@ def test_failures_recorded_not_raised() -> None:
     for n in range(1, 7):
         assert table.u(0, n) == 2**n
         assert table.u(1, n) == 0
+
+
+# -- theta by certified Newton steps --------------------------------------------
+
+
+def _assert_newton_encloses_theta(p: IntPolynomial, iv: RatInterval, bits: int) -> None:
+    got = newton_root(p, iv, bits)
+    assert got is not None
+    assert iv.lo <= got.lo and got.hi <= iv.hi
+    assert got.width <= Fraction(1, 1 << bits)
+    # on eval_interval's grid 2**-(exp + 8), with exp = bits for this width
+    grid = 1 << (bits + 8)
+    assert (got.lo * grid).denominator == 1 and (got.hi * grid).denominator == 1
+    assert sign_at(p, got.lo) * sign_at(p, got.hi) < 0
+    bisected = refine_root(p, iv, bits)
+    assert got.lo <= bisected.hi and bisected.lo <= got.hi
+
+
+@pytest.mark.parametrize("entry", list(load_catalog()), ids=lambda e: e.name)
+@pytest.mark.parametrize("start, bits", [(None, 70), (None, 700), (60, 190), (300, 1300)])
+def test_newton_root_encloses_theta_on_the_catalog(entry, start, bits) -> None:
+    field = NumberField.from_poly(entry.poly)
+    p, iv = field.min_poly, field.certificate.dominant_root
+    if start is not None:
+        iv = refine_root(p, iv, start)
+    _assert_newton_encloses_theta(p, iv, bits)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_perron_polys(), st.integers(0, 400), st.integers(THETA_MARGIN_BITS, 800))
+def test_newton_root_encloses_theta_on_pisot_polys(coeffs, start, more) -> None:
+    # the field refines theta at least THETA_MARGIN_BITS past what it has
+    p = IntPolynomial.from_coeffs(coeffs)
+    iv = refine_root(p, NumberField.from_poly(p).certificate.dominant_root, start)
+    _assert_newton_encloses_theta(p, iv, start + more)
+
+
+def _table_facts(field: NumberField, n_hi: int) -> tuple:
+    table = build_table(field, field.degree - 1, 1, n_hi)
+    cells = {
+        key: (cell.integer_part, cell.exact_zero) for key, cell in table._cells.items()
+    }
+    orders = [frac_magnitudes(table, k).pair_order for k in range(field.degree)]
+    return cells, table.failures, orders
+
+
+def _assert_same_table_on_bisection(poly, n_hi: int) -> None:
+    """The table and magnitude orders of ``poly`` on a field whose theta is
+    refined by bisection alone, as before Newton, and on a fresh field."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(pisotlab.field, "newton_root", lambda p, iv, bits: None)
+        bisected = _table_facts(NumberField.from_poly(poly), n_hi)
+    assert _table_facts(NumberField.from_poly(poly), n_hi) == bisected
+
+
+@pytest.mark.parametrize("entry", list(load_catalog()), ids=lambda e: e.name)
+def test_newton_theta_gives_the_bisection_table_on_the_catalog(entry) -> None:
+    _assert_same_table_on_bisection(entry.poly, 120)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_perron_polys(), st.integers(2, 120))
+def test_newton_theta_gives_the_bisection_table_on_pisot_polys(coeffs, n_hi) -> None:
+    _assert_same_table_on_bisection(coeffs, n_hi)
+
+
+def test_theta_falls_back_to_bisection_when_the_sign_check_fails(monkeypatch) -> None:
+    # p is made to read 0 at Newton's ends, whose denominators pass 2**64
+    # when bits do; the integer ends of its first bracket read true signs
+    declined, bisected = [], []
+
+    def sign(p, q):
+        return 0 if q.denominator > 1 << 64 else sign_at(p, q)
+
+    def failing_newton(p, iv, bits):
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(pisotlab.certify, "sign_at", sign)
+            got = newton_root(p, iv, bits)
+        assert got is None
+        declined.append(bits)
+        return got
+
+    def counted_refine(p, iv, bits):
+        bisected.append(bits)
+        return refine_root(p, iv, bits)
+
+    monkeypatch.setattr(pisotlab.field, "newton_root", failing_newton)
+    monkeypatch.setattr(pisotlab.field, "refine_root", counted_refine)
+    poly = load_catalog().get("atypical").poly
+    field = NumberField.from_poly(poly)
+    got = _table_facts(field, 80)
+    # every refinement declined and bisected to the precision asked, no further
+    assert declined and len(bisected) == len(declined)
+    assert field._theta_bits == bisected[-1]
+    monkeypatch.undo()
+    assert _table_facts(NumberField.from_poly(poly), 80) == got
+
+
+def test_theta_is_refined_once_per_margin_not_once_per_column(monkeypatch) -> None:
+    # atypical to n = 400 at every level: bisection runs once, for Newton's
+    # start, and Newton once per THETA_MARGIN_BITS of precision asked
+    newton, bisection, asked = [], [], []
+
+    def counted_newton(p, iv, bits):
+        newton.append(bits)
+        return newton_root(p, iv, bits)
+
+    def counted_refine(p, iv, bits):
+        bisection.append(bits)
+        return refine_root(p, iv, bits)
+
+    field = NumberField.from_poly(load_catalog().get("atypical").poly)
+    inner = field.theta_enclosure
+
+    def counted_enclosure(bits):
+        asked.append(bits)
+        return inner(bits)
+
+    monkeypatch.setattr(field, "theta_enclosure", counted_enclosure)
+    monkeypatch.setattr(pisotlab.field, "newton_root", counted_newton)
+    monkeypatch.setattr(pisotlab.field, "refine_root", counted_refine)
+    monkeypatch.setattr(pisotlab.certify, "refine_root", counted_refine)
+    build_table(field, 5, 1, 400)
+    assert bisection == [NEWTON_START_BITS]
+    first, final = asked[0], max(asked)
+    bound = -(-(final - first) // THETA_MARGIN_BITS) + 1
+    assert len(newton) <= bound
+    # one refinement per new precision asked would overrun the bound
+    assert len(set(asked)) > 10 * bound
