@@ -8,11 +8,15 @@ back as far as the relation keeps holding.  The fit is solved exactly on
 integer rows, so a detected recurrence is a statement about the sequence,
 not an approximation.  Most orders do not fit, and a small prime proves it
 first: if order j fits over Q, every (j+1)-minor of its augmented rows is 0,
-hence 0 mod p, so rows of full column rank j + 1 mod p cannot fit, and the
-exact solve runs only on the orders that this refutation does not reach.
-The answer therefore never depends on the prime.  Extension modulo p
-reduces x^e modulo the characteristic polynomial (Fiduccia, SIAM J.
-Comput. 14(1), 1985).
+hence 0 mod p, so rows of full column rank j + 1 mod p cannot fit.  One
+Berlekamp-Massey pass (J. L. Massey, IEEE Trans. Inf. Theory 15, 1969)
+decides that rank for every order at once.  An order it leaves is solved
+modulo primes below 2**61, combined by the Chinese remainder theorem and
+rationally reconstructed (von zur Gathen & Gerhard, Modern Computer
+Algebra, 5.10); a candidate is kept only when it satisfies every integer
+row, and fraction-free elimination decides the rest.  The answer therefore
+never depends on a prime.  Extension modulo p reduces x^e modulo the
+characteristic polynomial (Fiduccia, SIAM J. Comput. 14(1), 1985).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     InvalidParameters,
@@ -58,24 +62,54 @@ class Recurrence:
 # 30-bit digit
 _FILTER_PRIME = 32749
 
+# the four largest primes below 2**61; their product bounds the numerators
+# and denominators a lifted solve can reconstruct by about 2**121
+_LIFT_PRIMES = tuple(2**61 - k for k in (1, 31, 45, 229))
 
-def _full_rank_mod(m: list[list[int]], p: int) -> bool:
-    """Whether the rows ``m`` (residues mod the prime p) have full column
-    rank modulo p.  Eliminates column by column, dropping each pivot row and
-    each eliminated column, so ``m`` is consumed."""
-    for _ in range(len(m[0])):
-        pr = next((i for i, row in enumerate(m) if row[0]), None)
-        if pr is None:
-            return False
-        prow = m.pop(pr)
-        inv = pow(prow[0], -1, p)
-        tail = [b * inv % p for b in prow[1:]]
-        rest = []
-        for row in m:
-            f = row[0]
-            rest.append([(a - f * b) % p for a, b in zip(row[1:], tail)] if f else row[1:])
-        m = rest
-    return True
+
+def _open_orders(seq: list[int], p: int) -> Iterator[int]:
+    """The orders j = 1 .. len(seq)//2 - 2, in increasing order, whose
+    augmented rows do not have full column rank j + 1 modulo the prime p.
+    Lazy: deciding order j reads only the last 2j + 4 terms.
+
+    Those rows hold the last 2j + 4 terms as a (j+4) x (j+1) Hankel block
+    of the reversed row v_t = u_{L-1-t}, up to the order of the columns.
+    An R x C Hankel block H[r][c] = v_{r+c} of a sequence of length
+    N = R + C - 1 has rank min(R, C, l, R + C - l), where l is the linear
+    complexity of v_0 .. v_{N-1}; with R = j + 4 and C = j + 1 its columns
+    are independent exactly when j + 1 <= l <= j + 4.  Proof: a kernel
+    vector whose last nonzero entry is at column d is a relation of length
+    d generating v_0 .. v_{d+R-1}, and one exists exactly when l_{d+R} <= d
+    (l_n the complexity of the first n terms).  So the nullity is the
+    number of n in [R, N] with n - l_n >= R.  By Massey's length change
+    rule, l_{n+1} is l_n or n + 1 - l_n, so that count grows with N exactly
+    as (N + 1 - R - l_N)^+ + (l_N - R)^+ does, and both are 0 at N = 0.
+    The nullity is therefore (C - l)^+ + (l - R)^+, which is
+    C - min(R, C, l, R + C - l).  The complexities come from one
+    Berlekamp-Massey pass, O(L^2) in all.
+    """
+    r = [u % p for u in seq]
+    top = len(r) - 1
+    cap = len(r) // 2 - 2
+    # connection polynomials: the current one, and the one before the last
+    # length change with its discrepancy, `gap` terms back
+    c, b, bd, gap, ell = [1], [1], 1, 1, 0
+    for n in range(2 * cap + 4):
+        # discrepancy sum_i c_i v_{n-i}, with v_{n-i} = r[top - n + i]
+        d = sum(x * y for x, y in zip(c, r[top - n : top - n + len(c)])) % p
+        if d:
+            f = d * pow(bd, -1, p) % p
+            prev = c
+            c = c + [0] * (len(b) + gap - len(c))
+            for i, y in enumerate(b, start=gap):
+                c[i] = (c[i] - f * y) % p
+            if 2 * ell <= n:
+                b, bd, gap, ell = prev, d, 0, n + 1 - ell
+        gap += 1
+        # n + 1 = 2j + 4 terms read: order j is decided
+        j = (n - 3) // 2
+        if n % 2 and j >= 1 and not j + 1 <= ell <= j + 4:
+            yield j
 
 
 def _solve_exact(m: list[list[int]], j: int) -> list[Fraction] | None:
@@ -108,6 +142,70 @@ def _solve_exact(m: list[list[int]], j: int) -> list[Fraction] | None:
     return sol
 
 
+def _solve_mod(m: list[list[int]], j: int, q: int) -> list[int] | None:
+    """Gauss-Jordan modulo the prime q on residues of the augmented integer
+    rows ``m`` (j coefficient columns, then the right-hand side); ``m`` is
+    not changed.  Returns None when the coefficient columns are
+    rank-deficient mod q, [] when the augmented rows have full rank j + 1
+    mod q, and otherwise the residues of the unique solution."""
+    m = [[a % q for a in row] for row in m]
+    for c in range(j):
+        pr = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pr is None:
+            return None
+        m[c], m[pr] = m[pr], m[c]
+        inv = pow(m[c][c], -1, q)
+        prow = m[c] = [a * inv % q for a in m[c]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != c and f:
+                m[i] = [(a - f * y) % q for a, y in zip(row, prow)]
+    if any(row[j] for row in m[j:]):
+        return []
+    return [row[j] for row in m[:j]]
+
+
+def _rational(x: int, modulus: int) -> Fraction:
+    """The fraction n/d with n = d*x mod ``modulus`` at which the extended
+    Euclidean algorithm first reaches |n| <= sqrt(modulus/2) (Wang's
+    rational reconstruction): the only such fraction with d <= sqrt(modulus/2)
+    as well, when one exists."""
+    bound = math.isqrt(modulus // 2)
+    r0, r1, t0, t1 = modulus, x, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    return Fraction(r1, t1)
+
+
+def _solve_lifted(m: list[list[int]], j: int) -> list[Fraction] | None:
+    """What ``_solve_exact(m, j)`` returns, from solves modulo
+    ``_LIFT_PRIMES`` where they decide it.
+
+    Coefficient columns of full rank mod q have full rank j over Q.  If the
+    augmented rows then have rank j + 1 mod q, they have it over Q and there
+    is no solution.  Otherwise the solution, if any, is unique, so a
+    candidate reconstructed from the residues that satisfies every integer
+    row is the one.  Rank-deficient columns, or primes run out before a
+    candidate fits, leave the answer to ``_solve_exact``."""
+    sol, modulus = [0] * j, 1
+    for q in _LIFT_PRIMES:
+        residues = _solve_mod(m, j, q)
+        if residues is None:
+            break
+        if not residues:
+            return None
+        lift = pow(modulus, -1, q)
+        sol = [s + modulus * ((x - s) * lift % q) for s, x in zip(sol, residues)]
+        modulus *= q
+        cand = [_rational(s, modulus) for s in sol]
+        den = math.lcm(*(c.denominator for c in cand))
+        num = [c.numerator * (den // c.denominator) for c in cand]
+        if all(den * row[j] == sum(x * y for x, y in zip(num, row)) for row in m):
+            return cand
+    return _solve_exact(m, j)
+
+
 def detect_recurrence(seq: Sequence[int]) -> Recurrence:
     """Find the smallest-order linear recurrence fitting the tail of ``seq``.
 
@@ -116,25 +214,23 @@ def detect_recurrence(seq: Sequence[int]) -> Recurrence:
     nothing fits.
 
     An order whose augmented rows have full column rank modulo
-    ``_FILTER_PRIME`` is skipped without an exact solve: a rank over Q is
-    at least the rank mod p, so those rows have no rational solution.  Every
-    other order is solved exactly, so the result is the same for any prime.
+    ``_FILTER_PRIME`` is skipped without a solve: a rank over Q is at least
+    the rank mod p, so those rows have no rational solution.  One
+    Berlekamp-Massey pass decides that rank for every order
+    (``_open_orders``).  Every other order is solved by ``_solve_lifted``,
+    whose answer is ``_solve_exact``'s, so the result is the same for any
+    prime.
     """
     seq = list(seq)
     length = len(seq)
     cap = length // 2 - 2
     if cap < 1:
         raise NoRecurrenceFound(f"sequence of length {length} is too short")
-    p = _FILTER_PRIME
-    seq_p = [u % p for u in seq]
-    for j in range(1, cap + 1):
+    for j in _open_orders(seq, _FILTER_PRIME):
         # one equation u_i = sum_k b_k u_{i-k} per index i of the window's tail
         window = range(length - j - 4, length)
-        # the residue rows hold the same columns in another order: same rank
-        if _full_rank_mod([seq_p[i - j : i + 1] for i in window], p):
-            continue
         rows = [[seq[i - k] for k in range(1, j + 1)] + [seq[i]] for i in window]
-        b = _solve_exact(rows, j)
+        b = _solve_lifted(rows, j)
         if b is None:
             continue
         # walk the onset back on integers, b scaled by its common denominator

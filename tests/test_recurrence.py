@@ -16,6 +16,7 @@ from pisotlab.errors import (
 )
 from pisotlab.catalog import load_catalog
 from pisotlab.field import NumberField
+from pisotlab.limits import LogEquationSpec, solve_log_equation
 from pisotlab.poly import (
     IntPolynomial,
     alpha_poly,
@@ -589,28 +590,39 @@ def test_filtered_detection_matches_unfiltered_on_field_rows(
         assert _outcome(detect_recurrence, seq) == expected
 
 
+def _record_calls(mp, name):
+    """Patch recurrence.<name> to record the arguments after the rows of
+    each call."""
+    calls = []
+    f = getattr(recurrence, name)
+
+    def recorded(m, *args):
+        calls.append(args)
+        return f(m, *args)
+
+    mp.setattr(recurrence, name, recorded)
+    return calls
+
+
 def test_filter_leaves_one_exact_solve_per_recurrence(monkeypatch, filter_rows) -> None:
     rows, unfiltered_solves = filter_rows
-    solves = [0]
-    solve = recurrence._solve_exact
-
-    def counted(m, j):
-        solves[0] += 1
-        return solve(m, j)
-
-    monkeypatch.setattr(recurrence, "_solve_exact", counted)
+    lifted = _record_calls(monkeypatch, "_solve_lifted")
+    exact = _record_calls(monkeypatch, "_solve_exact")
     found = 0
     for seq, expected in rows:
-        before = solves[0]
+        before = len(lifted)
         outcome = _outcome(detect_recurrence, seq)
         # the solve that finds the order is the only one; a row without a
         # recurrence is refuted mod p at every order
         if isinstance(outcome, Recurrence):
             found += 1
-            assert solves[0] - before == 1, seq
+            assert len(lifted) - before == 1, seq
         else:
-            assert solves[0] == before, seq
-    assert (len(rows), found, solves[0], unfiltered_solves) == (123, 90, 90, 1461)
+            assert len(lifted) == before, seq
+    # and every solve is decided by the lift, none by the exact fallback
+    assert (len(rows), found, len(lifted), len(exact), unfiltered_solves) == (
+        123, 90, 90, 0, 1461
+    )
 
 
 @st.composite
@@ -634,6 +646,108 @@ def test_filtered_detection_matches_unfiltered(prime, seq) -> None:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recurrence, "_FILTER_PRIME", prime)
         assert _outcome(detect_recurrence, seq) == _outcome(_unfiltered_detect, seq)
+
+
+def _full_rank_mod(m, p):
+    """Whether the rows ``m`` (residues mod the prime p) have full column
+    rank modulo p, by elimination: the per-order refutation detection made
+    before the Berlekamp-Massey rule."""
+    for _ in range(len(m[0])):
+        pr = next((i for i, row in enumerate(m) if row[0]), None)
+        if pr is None:
+            return False
+        prow = m.pop(pr)
+        inv = pow(prow[0], -1, p)
+        tail = [b * inv % p for b in prow[1:]]
+        rest = []
+        for row in m:
+            f = row[0]
+            rest.append([(a - f * b) % p for a, b in zip(row[1:], tail)] if f else row[1:])
+        m = rest
+    return True
+
+
+@st.composite
+def _sparse_long_rows(draw):
+    """Rows of length <= 120 with at most four nonzero terms."""
+    length = draw(st.integers(0, 120))
+    spots = draw(st.lists(st.integers(0, max(0, length - 1)), max_size=4))
+    return [draw(st.integers(-9, 9)) if i in spots else 0 for i in range(length)]
+
+
+@pytest.mark.parametrize("prime", FILTER_PRIMES)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.one_of(_recurrence_rows(), _planted_long_rows(), _sparse_long_rows()),
+    st.booleans(),
+)
+def test_open_orders_match_full_rank_reference(prime, seq, times_p) -> None:
+    # a row times p is 0 mod p, so no order is refuted
+    seq = [u * prime for u in seq] if times_p else seq
+    residues = [u % prime for u in seq]
+    length = len(seq)
+    expected = [
+        j
+        for j in range(1, length // 2 - 1)
+        if not _full_rank_mod(
+            [residues[i - j : i + 1] for i in range(length - j - 4, length)], prime
+        )
+    ]
+    assert list(recurrence._open_orders(seq, prime)) == expected
+
+
+def test_lift_declines_on_rank_deficient_columns(monkeypatch) -> None:
+    # heart(100, 2, 1)'s level-0 row at n <= 60, which `generate --target
+    # 100` scans at --exact-limit 60: orders 1-7 are refuted mod p, and the
+    # coefficient columns of orders 8-28 are rank-deficient mod 2**61 - 1
+    poly = solve_log_equation(LogEquationSpec("heart", 100, 2, 1)).poly
+    seq = _field_rows(poly, 60)[0]
+    exact = _record_calls(monkeypatch, "_solve_exact")
+    outcome = _outcome(detect_recurrence, seq)
+    assert outcome[0] is NoRecurrenceFound
+    assert outcome == _outcome(_unfiltered_detect, seq)
+    assert [j for j, in exact] == list(range(8, 29))
+
+
+def test_lift_primes_are_the_largest_below_2_61() -> None:
+    import sympy
+
+    primes, q = [], 2**61
+    while len(primes) < len(recurrence._LIFT_PRIMES):
+        q = sympy.prevprime(q)
+        primes.append(q)
+    assert tuple(primes) == recurrence._LIFT_PRIMES
+
+
+@st.composite
+def _planted_wide_rows(draw):
+    """Planted recurrences of order <= 6 with coefficients up to 2**40 in
+    size after a noisy head, at length <= 60: an integer coefficient beyond
+    2**30 does not come back from one 61-bit residue."""
+    order = draw(st.integers(1, 6))
+    coeffs = draw(st.lists(st.integers(-2**40, 2**40), min_size=order, max_size=order))
+    head = draw(st.lists(st.integers(-9, 9), max_size=4))
+    seq = draw(st.lists(st.integers(-9, 9), min_size=order, max_size=order))
+    length = draw(st.integers(0, 60))
+    while len(head) + len(seq) < length:
+        seq.append(sum(c * seq[-k] for k, c in enumerate(coeffs, start=1)))
+    return (head + seq)[:length]
+
+
+def test_lift_combines_primes_for_wide_coefficients() -> None:
+    moduli = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_planted_wide_rows())
+    def check(seq):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _record_calls(mp, "_solve_mod")
+            assert _outcome(detect_recurrence, seq) == _outcome(_unfiltered_detect, seq)
+        moduli.extend(q for _, q in calls)
+
+    check()
+    # some candidate failed its row check at one prime and fit at two
+    assert recurrence._LIFT_PRIMES[1] in moduli
 
 
 def _reference_extend(r, initial_terms, p, target_index):
