@@ -52,14 +52,8 @@ class Catalog:
             self._by_name[e.name] = e
         self.source = source
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
     def __iter__(self):
         return iter(self._by_name.values())
-
-    def __len__(self) -> int:
-        return len(self._by_name)
 
     def names(self) -> list[str]:
         return list(self._by_name)

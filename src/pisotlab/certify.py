@@ -211,26 +211,25 @@ def _disk_count(coeffs: Sequence[int]) -> int | None:
     return inside
 
 
-# Radii r = 1 - 2**-k, k = 1, 2, 4, ..., 64, as (numerator, denominator).
-_RADII = tuple(((1 << k) - 1, 1 << k) for k in (1, 2, 4, 8, 16, 32, 64))
-
-
 def prove_pisot(p: IntPolynomial) -> PisotCertificate | None:
     """Prove Pisot geometry by exact disk counting, or return None.
 
     p(1) < 0 gives a real root above 1.  If n - 1 zeros of the degree-n p lie
     in |z| < r for some r < 1, that root is the only one outside the disk:
     theta is simple, real and above 1, and every conjugate has modulus
-    below r.  The radii r = a/b = 1 - 2**-k are tried in turn on
-    q(z) = b**n p(a z / b), whose zeros in the unit disk are those of p in
-    |z| < r.  Every delta a_0^2 - a_n^2 is odd there: q has only its top
-    coefficient odd, every later f only its constant term, so every count
-    makes a claim.  A count at r = 1 runs first: a radius that proves the
-    geometry leaves n - 1 zeros in the unit disk, so a claim of any other
-    number declines before the ladder's wider integers are built.
+    below r.  The radii r = a/b = 1 - 2**-k, k = 1, 2, 4, ..., are tried in
+    turn on q(z) = b**n p(a z / b), whose zeros in the unit disk are those
+    of p in |z| < r.  Every delta a_0^2 - a_n^2 is odd there: q has only its
+    top coefficient odd, every later f only its constant term, so every
+    count makes a claim.  A count at r = 1 runs first: a radius that proves
+    the geometry leaves n - 1 zeros in the unit disk, so a claim of any
+    other number declines before the ladder's wider integers are built.
+    A claim of n - 1 puts every conjugate below some modulus rho < 1, and
+    every radius above rho then counts n - 1: the ladder goes on past
+    k = 64 and ends by about k = 2 log2(1/(1 - rho)).
 
-    None means no radius proved the geometry; `certify_pisot` decides those
-    (a conjugate may lie above 1 - 2**-64).  Input errors are those of
+    Otherwise it stops after k = 64, and None means no radius proved the
+    geometry; `certify_pisot` decides those.  Input errors are those of
     `certify_pisot`.
 
     The small radii come first because a Pisot input is usually proved
@@ -246,10 +245,13 @@ def prove_pisot(p: IntPolynomial) -> PisotCertificate | None:
     inside = _disk_count(p.coeffs)
     if inside is not None and inside != n - 1:
         return None
-    for a, b in _RADII:
+    k = 1
+    while k <= 64 or inside == n - 1:
+        a, b = (1 << k) - 1, 1 << k
         q = [c * a**i * b ** (n - i) for i, c in enumerate(p.coeffs)]
         if _disk_count(q) == n - 1:
             break
+        k *= 2
     else:
         return None
     if n == 1:

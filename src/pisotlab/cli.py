@@ -392,8 +392,7 @@ def _emit_suite(writer: ReportWriter, suite, *, graded: bool) -> None:
             payload["congruence"] = congruence_payload(rep.congruence)
         elif rep.congruence_error:
             payload["congruence_error"] = rep.congruence_error
-        if rep.constant is not None:
-            payload["constant"] = asdict(rep.constant)
+        payload["constant"] = asdict(rep.constant)
         if rep.convergence is not None:
             payload["convergence"] = asdict(rep.convergence)
         elif rep.convergence_error:

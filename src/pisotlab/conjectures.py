@@ -119,8 +119,8 @@ def _classify_branch(primes: Sequence[int], centered: Mapping[int, int]) -> Bran
     return BranchVerdict(_BRANCH_KINDS.get(values[-1], "other"), values[-1], primes[start])
 
 
-def check_scan_range(p_lo: int, p_hi: int, exact_limit: int) -> None:
-    """Refuse a prime range that a scan cannot take, before any work."""
+def check_scan_range(p_lo: int, p_hi: int, exact_limit: int) -> list[int]:
+    """The primes of a range a scan can take; others are refused first."""
     if p_lo > p_hi:
         raise InvalidParameters("empty prime range")
     if p_hi > PMAX_LIMIT:
@@ -128,8 +128,10 @@ def check_scan_range(p_lo: int, p_hi: int, exact_limit: int) -> None:
     exact_top = min(p_hi, exact_limit)
     if exact_top > EXPONENT_LIMIT:
         raise InvalidParameters("exponents run up to %d, not %d" % (EXPONENT_LIMIT, exact_top))
-    if not primes_between(p_lo, p_hi):
+    primes = primes_between(p_lo, p_hi)
+    if not primes:
         raise InvalidParameters("no prime in the range %d..%d" % (p_lo, p_hi))
+    return primes
 
 
 def congruence_scan(
@@ -144,8 +146,8 @@ def congruence_scan(
 ) -> CongruenceReport:
     """Scan ``u^level_p mod p`` over primes ``p_lo <= p <= p_hi``.
 
-    Primes up to ``exact_limit`` are evaluated exactly (reusing ``table``
-    when it covers the column, otherwise recomputing the column).  Primes
+    Primes up to ``exact_limit`` are evaluated exactly: read from ``table``
+    (a failed cell raising its failure) or computed past it.  Primes
     beyond ``exact_limit`` need a verified ``recurrence`` for the level's
     row, whose index 0 is exponent ``SUITE_N_LO``; residues are then pushed
     forward modulo ``p`` from exact initial terms by ``modular_extend``.
@@ -158,8 +160,7 @@ def congruence_scan(
     """
     if level < 0:
         raise InvalidParameters("iterate level must be >= 0")
-    check_scan_range(p_lo, p_hi, exact_limit)
-    primes = tuple(primes_between(p_lo, p_hi))
+    primes = tuple(check_scan_range(p_lo, p_hi, exact_limit))
     residues: dict[int, int] = {}
     centered: dict[int, int] = {}
     method: dict[int, str] = {}
@@ -195,7 +196,7 @@ def congruence_scan(
 def _table_or_column(
     field: NumberField, table: IterateTable | None, level: int, n: int
 ) -> int:
-    if table is not None and table.has(level, n):
+    if table is not None and table.n_lo <= n <= table.n_hi and level <= table.k_max:
         return table.u(level, n)
     *_, top = iterate_column(field, n, level)
     return top.integer_part
@@ -479,10 +480,9 @@ class SuiteReport:
         return all(o.passed for o in self.outcomes)
 
     def level_report(self, level: int) -> LevelReport:
-        for rep in self.levels:
-            if rep.level == level:
-                return rep
-        raise InvalidParameters("no report for level %d" % level)
+        if not 0 <= level <= self.k_max:
+            raise InvalidParameters("no report for level %d" % level)
+        return self.levels[level]
 
 
 def run_suite(

@@ -123,20 +123,22 @@ class NumberField:
 
     def _set_theta(self, iv: RatInterval) -> None:
         """Keep theta's enclosure with what the calls below read off its
-        width p/q, so that no call makes a Fraction of it: the exponent
-        ``_theta_exp`` that sets eval_interval's scale, and ``_theta_bits``,
-        the largest b with width <= 2**-b (infinite for a point)."""
+        width p/q, so that no call makes a Fraction of it: ``_theta_bits``,
+        the largest b with width <= 2**-b (infinite for a point), and the
+        grid (s, t_lo, t_hi) that eval_interval reads, theta's endpoint
+        mantissas at scale 2**-s for s = e + 8 and the width exponent e."""
         self._theta_iv = iv
         w = iv.width
         p, q = w.numerator, w.denominator
         e = q.bit_length() - p.bit_length()
-        self._theta_exp = e
         # q/p lies in (2**(e-1), 2**(e+1)), so b is e or e - 1
         if p == 0:
             self._theta_bits = math.inf
         else:
             self._theta_bits = e if p << max(e, 0) <= q << max(-e, 0) else e - 1
-        self._grid = None  # (s, t_lo, t_hi) at the last scale s
+        s = max(e, 0) + 8  # the wide starting bracket (e < 0) is never read
+        t_lo = (iv.lo.numerator << s) // iv.lo.denominator
+        self._grid = (s, t_lo, -((-iv.hi.numerator << s) // iv.hi.denominator))
 
     def theta_enclosure(self, bits: int) -> RatInterval:
         """Enclosure of theta with width at most 2**-bits (monotone: repeated
@@ -161,22 +163,16 @@ class NumberField:
 
         Horner runs on integer mantissas at scale 2**-s; every product is
         rounded outward, so the result contains the exact interval Horner
-        enclosure.  The endpoint mantissas t_lo, t_hi are kept for the last
-        s until theta's enclosure changes.
+        enclosure.  The scale and theta's endpoint mantissas are set with
+        theta's enclosure, at s = e + 8 for its width exponent e >= b >=
+        precision_bits, where its dyadic endpoints lie on the grid exactly.
         """
         if len(a) != self.degree:
             raise InvalidParameters("element does not belong to this field")
         if not any(a[1:]):
             return DyadicInterval(a[0], a[0], 0)
-        tv = self.theta_enclosure(precision_bits)
-        # s follows the cached enclosure, which may be far tighter than
-        # asked for; at this s its dyadic endpoints lie on the grid exactly
-        s = max(precision_bits, self._theta_exp) + 8
-        if self._grid is None or self._grid[0] != s:
-            t_lo = (tv.lo.numerator << s) // tv.lo.denominator
-            t_hi = -((-tv.hi.numerator << s) // tv.hi.denominator)
-            self._grid = (s, t_lo, t_hi)
-        _, t_lo, t_hi = self._grid
+        self.theta_enclosure(precision_bits)
+        s, t_lo, t_hi = self._grid
         lo = hi = a[-1] << s
         for c in reversed(a[:-1]):
             # theta > 1, so t_lo > 0 and each bound's sign picks its endpoint

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .certify import PisotCertificate, certify_pisot, refine_root, sign_at
 from .errors import (
     InvalidParameters,
@@ -147,6 +145,8 @@ def _log_ratio(
     prec: int, x: RatInterval, terms: list[tuple[int, RatInterval]]
 ) -> RatInterval:
     """sum(sign * ln(arg)) / ln(x) as a certified enclosure."""
+    import mpmath
+
     for _, arg in terms:
         if arg.lo <= 0:
             raise PrecisionExhausted(

@@ -15,9 +15,9 @@ def test_builtin_catalog_names() -> None:
     cat = load_catalog()
     assert cat.source == "builtin"
     assert tuple(cat.names()) == DEFAULT_NAMES
-    assert len(cat) == 7
+    assert len(cat.names()) == 7
     for name in DEFAULT_NAMES:
-        assert name in cat
+        assert name in cat.names()
 
 
 def test_builtin_polynomials() -> None:

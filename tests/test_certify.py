@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import pisotlab.certify
 from pisotlab.catalog import load_catalog
 from pisotlab.certify import (
-    _RADII,
     PisotCertificate,
     Verdict,
     _disk_count,
@@ -26,6 +25,7 @@ from pisotlab.certify import (
 from pisotlab.errors import InvalidParameters, NotPisot, PrecisionExhausted
 from pisotlab.field import NumberField
 from pisotlab.intervals import RatInterval
+from pisotlab.limits import LogEquationSpec
 from pisotlab.poly import (
     DEGREE_LIMIT,
     IntPolynomial,
@@ -36,6 +36,9 @@ from pisotlab.poly import (
 )
 
 GOLDEN = IntPolynomial.from_coeffs([-1, -1, 1])
+# Radii r = 1 - 2**-k, k = 1, 2, 4, ..., 64, as (numerator, denominator): the
+# ladder prove_pisot runs unless its r = 1 count claims n - 1 zeros
+_RADII = tuple(((1 << k) - 1, 1 << k) for k in (1, 2, 4, 8, 16, 32, 64))
 
 
 def test_sign_at() -> None:
@@ -532,6 +535,19 @@ def test_ladder_is_bounded(monkeypatch) -> None:
     assert prove_pisot(p) is None
     assert calls[0] == p.coeffs and _disk_count(p.coeffs) is None
     assert len(calls) == 1 + len(_RADII) == 8
+
+
+@pytest.mark.parametrize("e, k", [(30, 128), (100, 512)])
+def test_ladder_goes_past_64_once_the_r1_count_claims_the_geometry(e, k) -> None:
+    # the cubic heart(10^e, 2, 1) has both conjugates within 2**-64 of the
+    # unit circle; the r = 1 count puts them inside it, so the ladder goes on
+    # to the first radius above them
+    p = LogEquationSpec("heart", 10**e, 2, 1).polynomial()
+    assert p.degree == 3 and _disk_count(p.coeffs) == 2
+    assert prove_pisot(p).conjugate_bound == Fraction((1 << k) - 1, 1 << k)
+    # the rung below it does not hold them
+    a, b = (1 << (k // 2)) - 1, 1 << (k // 2)
+    assert _disk_count([c * a**i * b ** (3 - i) for i, c in enumerate(p.coeffs)]) != 2
 
 
 def test_r1_count_declines_before_the_ladder(monkeypatch) -> None:

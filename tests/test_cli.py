@@ -878,8 +878,16 @@ print(code, "sympy" in sys.modules)
         (["limits", "identities", "--n", "1:2"], False),
         (["limits", "ordering", "--count", "2"], False),
         (["limits", "solve", "--family", "spade", "--m", "1000", "--n", "26"], False),
+        # conjugates within 2**-64 of the unit circle: the ladder goes on
+        (["limits", "solve", "--family", "heart", "--m", str(10**160), "--n", "2", "--l", "1"], False),
     ],
 )
 def test_which_commands_import_sympy(argv, imports_sympy) -> None:
     proc = _python(["-c", _IMPORT_PROBE, *argv], capture_output=True, text=True)
     assert proc.stdout.split() == ["0", str(imports_sympy)], proc.stderr
+
+
+def test_importing_the_cli_loads_no_third_party_library() -> None:
+    probe = "import sys, pisotlab.cli; print('sympy' in sys.modules, 'mpmath' in sys.modules)"
+    proc = _python(["-c", probe], capture_output=True, text=True)
+    assert proc.stdout.split() == ["False", "False"], proc.stderr

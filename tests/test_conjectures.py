@@ -22,6 +22,7 @@ from pisotlab.conjectures import (
     run_suite,
 )
 import pisotlab.conjectures
+import pisotlab.field
 import pisotlab.transform
 from pisotlab.catalog import load_catalog
 from pisotlab.errors import InvalidParameters, PrecisionExhausted, RecurrenceUnavailable
@@ -62,6 +63,36 @@ def test_congruence_scan_golden_lucas() -> None:
     assert rep.branch.onset_prime == 2
     assert all(rep.centered[p] == 1 for p in rep.primes)
     assert "recurrence_extended" not in rep.method.values()
+
+
+def test_congruence_scan_sieves_once(monkeypatch) -> None:
+    sieves = []
+    inner = pisotlab.conjectures.primes_between
+    monkeypatch.setattr(
+        pisotlab.conjectures, "primes_between", lambda lo, hi: sieves.append(hi) or inner(lo, hi)
+    )
+    assert congruence_scan(GOLDEN, 0, 2, 97).primes == tuple(primes_between(2, 97))
+    assert sieves == [97]
+
+
+def test_a_suite_reads_failed_cells_from_its_table(monkeypatch) -> None:
+    # at a 100-bit cap atypical's columns 61..97 fail at level 0: each
+    # level's scan raises the failure the table recorded for column 61
+    # instead of rounding the column again, up to the cap
+    monkeypatch.setattr(pisotlab.field, "CAP_BITS", 100)
+    columns = []
+    inner = pisotlab.conjectures.iterate_column
+    monkeypatch.setattr(
+        pisotlab.conjectures, "iterate_column", lambda f, n, k: columns.append(n) or inner(f, n, k)
+    )
+    field = NumberField.from_poly(load_catalog().get("atypical").poly)
+    suite = run_suite(field, p_hi=97)
+    assert columns == []
+    failure = suite.table_failures[(0, 61)]
+    assert [rep.congruence_error for rep in suite.levels] == [
+        "PrecisionExhausted: cell (level %d, n 61) unavailable: %s" % (k, failure)
+        for k in range(6)
+    ]
 
 
 def test_congruence_scan_plastic_perrin() -> None:
